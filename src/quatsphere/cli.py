@@ -5,7 +5,9 @@ per line as 4n+1 comma-separated reals (ambient coordinates, then weight).
 In place of a file, the built-in fixtures uniform | point | subsphere:<k> |
 sp1-orbit may be named directly; they are generated from (n, atoms, seed).
 
-Exit codes: 0 success, 1 check failure, 2 usage or I/O error.
+Exit codes: 0 success; 1 a check failed, or a kernel could not be calibrated
+or is flagged unusable; 2 a usage, parameter or I/O error.  Errors print one
+line on stderr rather than a traceback.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .dimension_lab import (
 from .quat_core import SpherePoint, sphere_samples
 from .spectral import DiscreteMeasure, apply_multiplier, spectrum_scan
 from .verification import run_verification
-from .zonal_kernel import KernelCache, calibrate_bank, index_range
+from .zonal_kernel import CalibrationError, KernelCache, UnusableKernelError, calibrate_bank, index_range
 
 _TAG_FIXTURE = 71
 _TAG_MULT = 72
@@ -51,7 +53,6 @@ class RunConfig:
     fd_step: float = 1e-2
     cache_path: str = "calibration_cache.json"
     output_path: str | None = None
-    threads: int = 1
     atoms: int = 20_000
 
     def __post_init__(self):
@@ -63,8 +64,8 @@ class RunConfig:
             raise UsageError("epsilon must lie in (0, 1/2)")
         if not 1e-4 <= self.fd_step <= 1e-1:
             raise UsageError("fd_step must lie in [1e-4, 1e-1]")
-        if self.threads < 1 or self.atoms < 1:
-            raise UsageError("threads and atoms must be positive")
+        if self.atoms < 1:
+            raise UsageError("atoms must be positive")
 
     def probe_count(self, default: int) -> int:
         return self.probes if self.probes is not None else default
@@ -180,7 +181,6 @@ def _bank(cfg: RunConfig, h_max: int | None = None):
         cfg.seed,
         probes=cfg.probe_count(6),
         cache=cache,
-        threads=cfg.threads,
     )
     return bank
 
@@ -256,7 +256,7 @@ def cmd_spectrum(measure_name: str, cfg: RunConfig) -> int:
     bank = _bank_from_cache(cfg)
     report = spectrum_scan(
         measure, bank, cfg.h_max, cfg.epsilon,
-        probes=cfg.probe_count(384), seed=cfg.seed, threads=cfg.threads,
+        probes=cfg.probe_count(384), seed=cfg.seed,
     )
     base = _out_base(cfg, "spectrum")
     report.write_csv(base.with_suffix(".csv"))
@@ -311,7 +311,7 @@ def cmd_report(measure_name: str, cfg: RunConfig) -> int:
     bank = _bank_from_cache(cfg)
     report = theorem_consistency_report(
         measure, bank, cfg.epsilon, cfg.h_max, seed=cfg.seed,
-        probes=cfg.probe_count(384), threads=cfg.threads,
+        probes=cfg.probe_count(384),
     )
     base = _out_base(cfg, "report")
     _write_json(base.with_suffix(".json"), report.to_json_dict())
@@ -340,7 +340,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--fd-step", dest="fd_step", type=float)
     p.add_argument("--cache", dest="cache_path")
     p.add_argument("--out", dest="output_path")
-    p.add_argument("--threads", type=int)
     p.add_argument("--atoms", type=int, help="atom count for generated fixtures")
 
 
@@ -392,7 +391,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "report":
             return cmd_report(args.measure, cfg)
         raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
+    except (CalibrationError, UnusableKernelError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -273,7 +273,6 @@ def theorem_consistency_report(
     h_max: int,
     seed: int = 0,
     probes: int = 384,
-    threads: int = 1,
 ) -> ConsistencyReport:
     """Falsification harness for the dimension bound dim >= 4n - 4.
 
@@ -285,7 +284,7 @@ def theorem_consistency_report(
     """
     if not measure.nonnegative:
         raise ValueError("consistency reports require nonnegative measures")
-    scan = spectrum_scan(measure, bank, h_max, epsilon, probes=probes, seed=seed, threads=threads)
+    scan = spectrum_scan(measure, bank, h_max, epsilon, probes=probes, seed=seed)
     flagged = tuple((e.h, e.m) for e in scan.flagged_in_cone())
     plausible = not any(h >= (h_max + 1) // 2 for h, _ in flagged)
     dim_est = correlation_dimension(measure, seed=seed)

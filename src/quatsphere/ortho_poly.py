@@ -3,7 +3,9 @@
 Jacobi polynomials P_m^{(alpha,beta)} and the scaled Chebyshev-U family
 W_k(a, s) = |q|^k U_k(a/|q|) (a = Re q, s = |q|^2) are both evaluated by
 their three-term recurrences, which stay well conditioned for the degrees
-used here (m up to ~30).
+used here (m up to ~30).  Each recurrence is written once, as a ladder
+generator yielding degree after degree: the pointwise evaluators take one
+rung, and the kernel-sum engine in spectral walks every rung it needs.
 """
 
 from __future__ import annotations
@@ -31,6 +33,48 @@ class JacobiParams:
             raise ValueError(f"degree must be non-negative, got {self.degree}")
 
 
+def jacobi_ladder(alpha: float, beta: float, x):
+    """Yield P_0, P_1, P_2, ... of P_m^{(alpha,beta)}(x) by the three-term recurrence.
+
+    x is used as given (no domain check); only two rungs are alive at a time.
+    """
+    p_prev = np.ones_like(x)
+    yield p_prev
+    apb = alpha + beta
+    p = 0.5 * (alpha - beta + (apb + 2.0) * x)
+    yield p
+    k = 2
+    while True:
+        c1 = 2.0 * k * (k + apb) * (2.0 * k + apb - 2.0)
+        c2 = (2.0 * k + apb - 1.0) * (alpha * alpha - beta * beta)
+        c3 = (2.0 * k + apb - 2.0) * (2.0 * k + apb - 1.0) * (2.0 * k + apb)
+        c4 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * (2.0 * k + apb)
+        p, p_prev = ((c2 + c3 * x) * p - c4 * p_prev) / c1, p
+        yield p
+        k += 1
+
+
+def cheb_ladder(a, s):
+    """Yield W_0, W_1, W_2, ... of W_k(a, s) = |q|^k U_k(a/|q|) (see cheb_u_scaled).
+
+    a and s must share one shape; only two rungs are alive at a time.
+    """
+    w_prev = np.ones_like(a)
+    yield w_prev
+    w = 2.0 * a
+    yield w
+    while True:
+        w, w_prev = 2.0 * a * w - s * w_prev, w
+        yield w
+
+
+def _rung(ladder, k: int):
+    """The k-th value a ladder yields."""
+    for _ in range(k):
+        next(ladder)
+    return next(ladder)
+
+
 def jacobi_eval(params: JacobiParams, x):
     """P_m^{(alpha,beta)}(x) for x in [-1, 1] (scalar or array).
 
@@ -41,19 +85,7 @@ def jacobi_eval(params: JacobiParams, x):
     if np.any(arr < -1.0 - _DOMAIN_TOL) or np.any(arr > 1.0 + _DOMAIN_TOL):
         raise ValueError("jacobi_eval argument outside [-1, 1] beyond tolerance")
     arr = np.clip(arr, -1.0, 1.0)
-    a, b, m = params.alpha, params.beta, params.degree
-
-    p_prev = np.ones_like(arr)
-    if m == 0:
-        return p_prev if isinstance(x, np.ndarray) else float(p_prev)
-    p = 0.5 * (a - b + (a + b + 2.0) * arr)
-    apb = a + b
-    for k in range(2, m + 1):
-        c1 = 2.0 * k * (k + apb) * (2.0 * k + apb - 2.0)
-        c2 = (2.0 * k + apb - 1.0) * (a * a - b * b)
-        c3 = (2.0 * k + apb - 2.0) * (2.0 * k + apb - 1.0) * (2.0 * k + apb)
-        c4 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * (2.0 * k + apb)
-        p, p_prev = ((c2 + c3 * arr) * p - c4 * p_prev) / c1, p
+    p = _rung(jacobi_ladder(params.alpha, params.beta, arr), params.degree)
     return p if isinstance(x, np.ndarray) else float(p)
 
 
@@ -72,13 +104,7 @@ def cheb_u_scaled(k: int, a, s):
     if np.any(a_arr * a_arr > s_arr + _DOMAIN_TOL):
         raise ValueError("need a^2 <= s (a is the real part of a quaternion of norm sqrt(s))")
 
-    w_prev = np.ones(np.broadcast_shapes(a_arr.shape, s_arr.shape))
-    if k == 0:
-        return w_prev if isinstance(a, np.ndarray) or isinstance(s, np.ndarray) else float(w_prev)
-    two_a = 2.0 * a_arr
-    w = two_a * np.ones_like(w_prev)
-    for _ in range(k - 1):
-        w, w_prev = two_a * w - s_arr * w_prev, w
+    w = _rung(cheb_ladder(*np.broadcast_arrays(a_arr, s_arr)), k)
     return w if isinstance(a, np.ndarray) or isinstance(s, np.ndarray) else float(w)
 
 

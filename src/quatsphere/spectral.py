@@ -21,13 +21,13 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ortho_poly import binomial
+from .ortho_poly import cheb_ladder, jacobi_ladder
 from .quat_core import Array, SpherePoint, pair_invariants_matrix, sphere_samples
-from .zonal_kernel import CalibratedKernel, raw_kernel_values
+from .zonal_kernel import CalibratedKernel
 
 _TAG_SCAN = 31
 
@@ -79,10 +79,6 @@ class DiscreteMeasure:
     @property
     def nonnegative(self) -> bool:
         return bool(np.all(self.weights >= 0.0))
-
-    def atoms(self) -> Iterable[tuple[SpherePoint, float]]:
-        for row, w in zip(self.points, self.weights):
-            yield SpherePoint(row), float(w)
 
     def total_weight(self) -> float:
         return float(np.sum(self.weights))
@@ -162,18 +158,8 @@ def project(measure: DiscreteMeasure, ck: CalibratedKernel, x: SpherePoint) -> f
 
 
 def project_values(measure: DiscreteMeasure, ck: CalibratedKernel, xs: Array) -> Array:
-    """Projection values at an array of evaluation points, blocked over atoms."""
-    ck.require_usable()
-    if measure.n != ck.index.n:
-        raise ValueError("measure and kernel live on different spheres")
-    xs = np.atleast_2d(xs)
-    out = np.zeros(xs.shape[0])
-    block = max(1, _BLOCK_ELEMENTS // max(1, xs.shape[0]))
-    for lo in range(0, measure.natoms, block):
-        pts = measure.points[lo : lo + block]
-        a, s = pair_invariants_matrix(xs, pts)
-        out += raw_kernel_values(ck.index, a, s) @ measure.weights[lo : lo + block]
-    return ck.c * out
+    """Projection values at an array of evaluation points."""
+    return _projection_matrix(measure, [ck], np.atleast_2d(xs))[0]
 
 
 @dataclass(frozen=True)
@@ -252,8 +238,10 @@ KernelBank = Mapping[tuple[int, int], CalibratedKernel]
 def _projection_matrix(measure: DiscreteMeasure, cks: Sequence[CalibratedKernel], xs: Array) -> Array:
     """Projection values, shape (len(cks), len(xs)), sharing pair invariants.
 
-    Per atom block the Chebyshev ladder W_0..W_kmax is walked once, and for
-    each ladder rung the fixed-beta Jacobi recurrence is walked once, with
+    This is the one blocked kernel-sum path: scans, the multiplier and
+    project_values all run on it.  Per atom block the pair invariants are
+    computed once, the Chebyshev ladder W_0..W_kmax is walked once, and for
+    each ladder rung the fixed-beta Jacobi ladder is walked once, with
     contributions emitted at every degree some kernel needs.  Only two live
     arrays per recurrence, which is what makes full-spectrum scans
     affordable.
@@ -265,8 +253,7 @@ def _projection_matrix(measure: DiscreteMeasure, cks: Sequence[CalibratedKernel]
     by_k: dict[int, dict[int, list[tuple[int, float]]]] = {}
     for row, ck in enumerate(cks):
         idx = ck.index
-        coeff = ck.c * idx.prefactor * binomial(idx.h - idx.m + 2 * idx.n - 2, 2 * idx.n - 3)
-        by_k.setdefault(idx.k, {}).setdefault(idx.m, []).append((row, coeff))
+        by_k.setdefault(idx.k, {}).setdefault(idx.m, []).append((row, idx.coefficient(ck.c)))
     kmax = max(by_k) if by_k else 0
     alpha = 2 * measure.n - 3
 
@@ -277,33 +264,11 @@ def _projection_matrix(measure: DiscreteMeasure, cks: Sequence[CalibratedKernel]
         wb = measure.weights[lo : lo + block]
         a, s = pair_invariants_matrix(xs, pts)
         x_arg = 2.0 * s - 1.0
-        w_prev = np.ones_like(a)
-        w_cur = 2.0 * a
-        for k in range(kmax + 1):
-            if k == 1:
-                wk = w_cur
-            elif k > 1:
-                w_prev, w_cur = w_cur, 2.0 * a * w_cur - s * w_prev
-                wk = w_cur
-            else:
-                wk = w_prev
+        for k, wk in zip(range(kmax + 1), cheb_ladder(a, s)):
             rows_by_degree = by_k.get(k)
             if not rows_by_degree:
                 continue
-            beta = k + 1.0
-            apb = alpha + beta
-            p_prev = np.ones_like(x_arg)
-            p_cur = None
-            for deg in range(max(rows_by_degree) + 1):
-                if deg == 1:
-                    p_cur = 0.5 * (alpha - beta + (apb + 2.0) * x_arg)
-                elif deg > 1:
-                    c1 = 2.0 * deg * (deg + apb) * (2.0 * deg + apb - 2.0)
-                    c2 = (2.0 * deg + apb - 1.0) * (alpha * alpha - beta * beta)
-                    c3 = (2.0 * deg + apb - 2.0) * (2.0 * deg + apb - 1.0) * (2.0 * deg + apb)
-                    c4 = 2.0 * (deg + alpha - 1.0) * (deg + beta - 1.0) * (2.0 * deg + apb)
-                    p_prev, p_cur = p_cur, ((c2 + c3 * x_arg) * p_cur - c4 * p_prev) / c1
-                p_deg = p_prev if deg == 0 else p_cur
+            for deg, p_deg in zip(range(max(rows_by_degree) + 1), jacobi_ladder(alpha, k + 1.0, x_arg)):
                 for row, coeff in rows_by_degree.get(deg, ()):
                     out[row] += coeff * ((wk * p_deg) @ wb)
     return out
@@ -316,7 +281,6 @@ def spectrum_scan(
     epsilon: float,
     probes: int = 384,
     seed: int = 0,
-    threads: int = 1,
     indices: Sequence[tuple[int, int]] | None = None,
 ) -> SpectrumReport:
     """Estimate ||pi_{h,m} mu||^2 for all indices with h <= h_max.
@@ -345,18 +309,7 @@ def spectrum_scan(
     denom = 1.0 - 1.0 / m_eff if m_eff > 1.000001 else 0.0
     sw2 = measure.sum_sq_weight()
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        split = max(1, len(cks) // threads)
-        chunks = [list(range(i, min(i + split, len(cks)))) for i in range(0, len(cks), split)]
-        proj = np.empty((len(cks), probes))
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = pool.map(lambda rows: _projection_matrix(measure, [cks[r] for r in rows], xs), chunks)
-            for rows, part in zip(chunks, parts):
-                proj[rows] = part
-    else:
-        proj = _projection_matrix(measure, cks, xs)
+    proj = _projection_matrix(measure, cks, xs)
 
     entries = []
     for (h, m), ck, g in zip(indices, cks, proj):
@@ -413,21 +366,19 @@ def apply_multiplier(
 ) -> MultiplierResult:
     """Cone multiplier sum_{h <= h_max} psi(h, m) (pi_{h,m} mu)(x).
 
-    Indices where the cutoff vanishes are skipped; the magnitude of the
-    h = h_max shell is reported as a truncation-tail heuristic.
+    Indices where the cutoff vanishes are skipped, and the rest share one
+    projection matrix; the magnitude of the h = h_max shell is reported as a
+    truncation-tail heuristic.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    total = np.zeros(xs.shape[0])
-    last_shell = np.zeros(xs.shape[0])
-    for h in range(h_max + 1):
-        for m in range(h // 2 + 1):
-            weight = float(psi(float(h), float(m), epsilon))
-            if weight == 0.0:
-                continue
-            contrib = weight * project_values(measure, bank[(h, m)], xs)
-            total += contrib
-            if h == h_max:
-                last_shell += contrib
+    indices = [(h, m) for h in range(h_max + 1) for m in range(h // 2 + 1)]
+    cutoff = np.array([psi(float(h), float(m), epsilon) for h, m in indices])
+    live = np.flatnonzero(cutoff)
+    proj = _projection_matrix(measure, [bank[indices[i]] for i in live], xs)
+    weights = cutoff[live]
+    total = weights @ proj
+    last = np.array([indices[i][0] == h_max for i in live], dtype=bool)
+    last_shell = weights[last] @ proj[last]
     return MultiplierResult(
         values=total,
         last_shell_magnitude=float(np.max(np.abs(last_shell))) if xs.shape[0] else 0.0,

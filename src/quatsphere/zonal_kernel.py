@@ -107,13 +107,19 @@ class KernelIndex:
         # not; fall back to 1 so calibration can still fix the scale
         return pref if pref != 0.0 else 1.0
 
+    def coefficient(self, scale: float = 1.0) -> float:
+        """scale * prefactor * C(h-m+2n-2, 2n-3), the constant in front of W_k P_m.
+
+        The scale (a calibration constant) is multiplied in first, so every
+        caller rounds the product the same way.
+        """
+        return scale * self.prefactor * binomial(self.h - self.m + 2 * self.n - 2, 2 * self.n - 3)
+
 
 def raw_kernel_values(idx: KernelIndex, a, s):
     """Raw kernel evaluated from the invariants a = Re<x,y>, s = |<x,y>|^2."""
-    coeff = idx.prefactor * binomial(idx.h - idx.m + 2 * idx.n - 2, 2 * idx.n - 3)
     s_arr = np.asarray(s, dtype=np.float64)
-    vals = coeff * cheb_u_scaled(idx.k, a, s_arr) * jacobi_eval(idx.jacobi, 2.0 * s_arr - 1.0)
-    return vals
+    return idx.coefficient() * cheb_u_scaled(idx.k, a, s_arr) * jacobi_eval(idx.jacobi, 2.0 * s_arr - 1.0)
 
 
 def raw_kernel(idx: KernelIndex, x: SpherePoint, y: SpherePoint) -> float:
@@ -149,11 +155,6 @@ class CalibratedKernel:
         """Calibrated kernel between one point and an array of points."""
         self.require_usable()
         a, s = pair_invariants(x_vec, points)
-        return self.c * raw_kernel_values(self.index, a, s)
-
-    def values_matrix(self, xs: Array, ys: Array) -> Array:
-        self.require_usable()
-        a, s = pair_invariants_matrix(xs, ys)
         return self.c * raw_kernel_values(self.index, a, s)
 
     def __call__(self, x: SpherePoint, y: SpherePoint) -> float:
@@ -294,23 +295,14 @@ def calibrate_bank(
     seed: int,
     probes: int = 6,
     cache: "KernelCache | None" = None,
-    threads: int = 1,
 ) -> dict[tuple[int, int], CalibratedKernel]:
     """Calibrated kernels for every index with h <= h_max, keyed by (h, m)."""
-    indices = index_range(n, h_max)
-
-    def one(idx: KernelIndex) -> CalibratedKernel:
-        if cache is not None:
-            return cache.get_or_calibrate(idx, n_samples, seed, probes)
-        return calibrate(idx, n_samples, seed, probes)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            cks = list(pool.map(one, indices))
-    else:
-        cks = [one(idx) for idx in indices]
+    cks = [
+        calibrate(idx, n_samples, seed, probes)
+        if cache is None
+        else cache.get_or_calibrate(idx, n_samples, seed, probes)
+        for idx in index_range(n, h_max)
+    ]
     if cache is not None:
         cache.save()
     return {(ck.index.h, ck.index.m): ck for ck in cks}

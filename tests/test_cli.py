@@ -27,8 +27,6 @@ class TestRunConfig:
             RunConfig(n=1)
         with pytest.raises(UsageError):
             RunConfig(epsilon=0.5)
-        with pytest.raises(UsageError):
-            RunConfig(threads=0)
 
     def test_config_file_overrides(self, tmp_path):
         p = tmp_path / "run.cfg"
@@ -203,6 +201,31 @@ class TestCommands:
                    "--cache", str(tmp_path / "none.json"), "--out", str(tmp_path / "s")])
         assert rc == 2
         assert "calibrate" in capsys.readouterr().err
+
+    def test_invalid_parameter_is_usage_error(self, tmp_path, capsys):
+        # calibrate() rejects fewer than 1e4 samples with a ValueError
+        rc = main(["calibrate", "--n", "2", "--h-max", "1", "--mc-samples", "100",
+                   "--cache", str(tmp_path / "c.json")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: calibration needs")
+
+    def test_failed_calibration_is_check_failure(self, tmp_path, capsys):
+        # at 1e4 samples and seed 1 the (6, 0) kernel finds too few probe pairs
+        rc = main(["calibrate", "--n", "2", "--h-max", "6", "--mc-samples", "10000", "--seed", "1",
+                   "--cache", str(tmp_path / "c.json")])
+        assert rc == 1
+        assert "error: KernelIndex(h=6, m=0, n=2)" in capsys.readouterr().err
+
+    def test_unusable_kernel_is_check_failure(self, tmp_path, capsys):
+        cache = tmp_path / "cache.json"
+        assert main(["calibrate", *FAST, "--cache", str(cache)]) == 0
+        blob = json.loads(cache.read_text())
+        blob["2/2/1"]["spread"] = 0.5
+        cache.write_text(json.dumps(blob))
+        rc = main(["spectrum", "uniform", *FAST, "--atoms", "500",
+                   "--cache", str(cache), "--out", str(tmp_path / "s")])
+        assert rc == 1
+        assert "error: kernel KernelIndex(h=2, m=1, n=2) flagged unusable" in capsys.readouterr().err
 
     def test_bad_subsphere_k_is_usage_error(self, tmp_path):
         rc = main(["dimension", "subsphere:7", "--n", "2", "--atoms", "500",

@@ -20,6 +20,8 @@ from quatsphere import (
     spectrum_scan,
     sphere_samples,
 )
+from quatsphere import spectral
+from quatsphere.quat_core import pair_invariants_matrix
 from quatsphere.spectral import function_measure
 
 
@@ -198,20 +200,13 @@ class TestSpectrumScan:
         assert len(scan.entries) == 1
         assert scan.entries[0].h == 2
 
-    def test_threading_is_invisible(self, bank8):
-        mu = gen_uniform(2, 4_000, seed=14)
-        s1 = spectrum_scan(mu, bank8, 6, 0.1, probes=128, seed=3)
-        s2 = spectrum_scan(mu, bank8, 6, 0.1, probes=128, seed=3, threads=4)
-        for e1, e2 in zip(s1.entries, s2.entries):
-            assert e1.norm_sq == e2.norm_sq and e1.flagged_nonzero == e2.flagged_nonzero
-
     def test_scan_matches_single_kernel_projections(self, bank8):
-        # the shared-recurrence fast path must agree with project_values
+        # the shared-recurrence engine must agree with the pointwise kernel
         mu = gen_uniform(2, 3_000, seed=15)
         scan = spectrum_scan(mu, bank8, 7, 0.1, probes=96, seed=3)
         xs = sphere_samples(2, 96, [3, 2, 31])  # the scan's probe stream
         for hm in [(0, 0), (3, 1), (6, 2), (7, 0), (5, 2)]:
-            direct = project_values(mu, bank8[hm], xs)
+            direct = np.array([mu.weights @ bank8[hm].values(x, mu.points) for x in xs])
             assert np.mean(direct**2) == pytest.approx(scan.entry(*hm).norm_sq, rel=1e-12)
 
 
@@ -247,6 +242,34 @@ class TestMultiplier:
             for h in range(7) for m in range(h // 2 + 1)
         ) * addon.sum_sq_weight())
         assert np.max(np.abs(out.values - base.values)) <= 5.0 * leak
+
+    def test_matches_pointwise_kernel_sum(self, bank8):
+        mu = gen_uniform(2, 2_000, seed=16)
+        xs = sphere_samples(2, 24, 21)
+        eps, h_max = 0.2, 8
+        out = apply_multiplier(mu, bank8, eps, h_max, xs)
+        direct = np.zeros(len(xs))
+        for h in range(h_max + 1):
+            for m in range(h // 2 + 1):
+                weight = psi(float(h), float(m), eps)
+                if weight != 0.0:
+                    ck = bank8[(h, m)]
+                    direct += weight * np.array([mu.weights @ ck.values(x, mu.points) for x in xs])
+        assert np.max(np.abs(out.values - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+    def test_pair_invariants_once_per_atom_block(self, bank8, monkeypatch):
+        # all indices share the invariants of a block: one GEMM per block, not per index
+        calls = []
+
+        def counting(xs, ys):
+            calls.append(ys.shape[0])
+            return pair_invariants_matrix(xs, ys)
+
+        monkeypatch.setattr(spectral, "pair_invariants_matrix", counting)
+        monkeypatch.setattr(spectral, "_BLOCK_ELEMENTS", 16 * 300)
+        mu = gen_uniform(2, 1_000, seed=17)
+        apply_multiplier(mu, bank8, 0.2, 8, sphere_samples(2, 16, 22))
+        assert calls == [300, 300, 300, 100]
 
     def test_last_shell_reported(self, bank8, x0):
         xs = sphere_samples(2, 8, 20)
