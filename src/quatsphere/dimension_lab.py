@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .quat_core import Array, Quaternion, SpherePoint, left_mul_points, seeded_rng, sphere_samples
+from .quat_core import Array, SpherePoint, _left_mul_matrix, seeded_rng, sphere_samples
 from .spectral import DiscreteMeasure, KernelBank, SpectrumReport, spectrum_scan
 
 _TAG_ORBIT = 41
@@ -52,7 +52,9 @@ def gen_sp1_orbit(x0: SpherePoint, count: int, seed: int) -> DiscreteMeasure:
     """Atoms q * x0 for uniform unit quaternions q (a 3-dimensional orbit)."""
     g = seeded_rng(seed, _TAG_ORBIT).standard_normal((count, 4))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
-    pts = np.stack([left_mul_points(x0.vec, Quaternion(*row)) for row in g])
+    # one batched Hamilton product: a (count, 4, 4) stack of left-multiplication matrices
+    mats = _left_mul_matrix(*g.T).transpose(2, 0, 1)
+    pts = (x0.vec.reshape(-1, 4) @ mats.transpose(0, 2, 1)).reshape(count, -1)
     return DiscreteMeasure(pts, np.full(count, 1.0 / count), name="sp1-orbit")
 
 

@@ -25,14 +25,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import quat_core
 from .ortho_poly import cheb_ladder, jacobi_ladder
 from .quat_core import Array, SpherePoint, pair_invariants_matrix, sphere_samples
 from .zonal_kernel import CalibratedKernel
 
 _TAG_SCAN = 31
-
-# atom blocks are sized so probe-block x atom-block kernel matrices stay small
-_BLOCK_ELEMENTS = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -239,9 +237,11 @@ def _projection_matrix(measure: DiscreteMeasure, cks: Sequence[CalibratedKernel]
     """Projection values, shape (len(cks), len(xs)), sharing pair invariants.
 
     This is the one blocked kernel-sum path: scans, the multiplier and
-    project_values all run on it.  Per atom block the pair invariants are
-    computed once, the Chebyshev ladder W_0..W_kmax is walked once, and for
-    each ladder rung the fixed-beta Jacobi ladder is walked once, with
+    project_values all run on it.  An atom block holds at most
+    quat_core._BLOCK_ELEMENTS pairs (one atom if xs alone is larger), so the
+    ladder temporaries stay cache-sized.  Per atom block the pair invariants
+    are computed once, the Chebyshev ladder W_0..W_kmax is walked once, and
+    for each ladder rung the fixed-beta Jacobi ladder is walked once, with
     contributions emitted at every degree some kernel needs.  Only two live
     arrays per recurrence, which is what makes full-spectrum scans
     affordable.
@@ -258,7 +258,7 @@ def _projection_matrix(measure: DiscreteMeasure, cks: Sequence[CalibratedKernel]
     alpha = 2 * measure.n - 3
 
     out = np.zeros((len(cks), xs.shape[0]))
-    block = max(1, _BLOCK_ELEMENTS // max(1, xs.shape[0]))
+    block = max(1, quat_core._BLOCK_ELEMENTS // max(1, xs.shape[0]))
     for lo in range(0, measure.natoms, block):
         pts = measure.points[lo : lo + block]
         wb = measure.weights[lo : lo + block]

@@ -18,6 +18,7 @@ from .spectral import cone_gap_check, psi
 from .zonal_kernel import (
     CalibratedKernel,
     UnusableKernelError,
+    _kernel_products,
     index_range,
     raw_kernel_values,
 )
@@ -147,11 +148,13 @@ def _product_integral(
     tag: int,
 ) -> tuple[float, float, float]:
     """MC estimate of integral K1(x, y) K2(y, z) dsigma(y), its stderr, and K1(x, z)."""
+    ck1.require_usable()
+    ck2.require_usable()
     n = ck1.index.n
     ys = sphere_samples(n, n_samples, [seed, tag, ck1.index.h, ck1.index.m, ck2.index.h, ck2.index.m])
     ends = sphere_samples(n, 2, [seed, tag + 1, ck1.index.h, ck2.index.h, ck1.index.m, ck2.index.m])
     x, z = ends[0], ends[1]
-    prod = ck1.values(x, ys) * ck2.values(z, ys)
+    prod = _kernel_products(ck1.index, ck2.index, x, z, ys, ck1.c, ck2.c)
     est = float(np.mean(prod))
     stderr = float(np.std(prod, ddof=1)) / math.sqrt(n_samples)
     a, s = pair_invariants(x, z[None, :])

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import quat_core
 from .ortho_poly import JacobiParams, binomial, cheb_u_scaled, jacobi_eval
 from .quat_core import (
     AXES,
@@ -120,6 +121,32 @@ def raw_kernel_values(idx: KernelIndex, a, s):
     """Raw kernel evaluated from the invariants a = Re<x,y>, s = |<x,y>|^2."""
     s_arr = np.asarray(s, dtype=np.float64)
     return idx.coefficient() * cheb_u_scaled(idx.k, a, s_arr) * jacobi_eval(idx.jacobi, 2.0 * s_arr - 1.0)
+
+
+def _kernel_products(
+    idx1: KernelIndex,
+    idx2: KernelIndex,
+    x: Array,
+    z: Array,
+    samples: Array,
+    c1: float = 1.0,
+    c2: float = 1.0,
+) -> Array:
+    """(c1 * raw1(x, y)) * (c2 * raw2(y, z)) for every sample row y.
+
+    The samples are walked in blocks of quat_core._BLOCK_ELEMENTS // 2 rows:
+    per block one GEMM gives the invariants of both x and z, and both ladder
+    walks stay cache-sized.  Multiplying by the default c = 1.0 is exact.
+    """
+    ends = np.stack([x, z])
+    out = np.empty(samples.shape[0])
+    block = max(1, quat_core._BLOCK_ELEMENTS // 2)
+    for lo in range(0, samples.shape[0], block):
+        a, s = pair_invariants_matrix(ends, samples[lo : lo + block])
+        out[lo : lo + block] = (c1 * raw_kernel_values(idx1, a[0], s[0])) * (
+            c2 * raw_kernel_values(idx2, a[1], s[1])
+        )
+    return out
 
 
 def raw_kernel(idx: KernelIndex, x: SpherePoint, y: SpherePoint) -> float:
@@ -261,9 +288,7 @@ def calibrate(
     for x, z, target in zip(xs, zs, targets):
         if len(ratios) == probes:
             break
-        ax, sx = pair_invariants(x, samples)
-        az, sz = pair_invariants(z, samples)
-        prod = raw_kernel_values(idx, ax, sx) * raw_kernel_values(idx, az, sz)
+        prod = _kernel_products(idx, idx, x, z, samples)
         a_est = float(np.mean(prod))
         a_err = float(np.std(prod)) / math.sqrt(n_samples)
         if abs(a_est) <= 10.0 * a_err:

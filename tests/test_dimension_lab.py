@@ -14,6 +14,8 @@ from quatsphere import (
     s_energy,
     theorem_consistency_report,
 )
+from quatsphere.dimension_lab import _TAG_ORBIT
+from quatsphere.quat_core import Quaternion, left_mul_points, seeded_rng, sphere_samples
 
 
 class TestGenerators:
@@ -34,6 +36,16 @@ class TestGenerators:
 
         _, s = pair_invariants(x0.vec, mu.points)
         assert np.max(np.abs(s - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_orbit_matches_per_atom_products(self, n, seed):
+        # the batched Hamilton product against one left multiplication per atom
+        x0 = SpherePoint(sphere_samples(n, 1, [seed, 3])[0])
+        g = seeded_rng(seed, _TAG_ORBIT).standard_normal((500, 4))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        ref = np.stack([left_mul_points(x0.vec, Quaternion(*row)) for row in g])
+        assert np.array_equal(gen_sp1_orbit(x0, 500, seed).points, DiscreteMeasure(ref, np.ones(500)).points)
 
     def test_uniform_mean_near_zero(self):
         mu = gen_uniform(2, 200_000, seed=4)

@@ -178,6 +178,17 @@ class TestSampling:
         small = sphere_samples(2, 1 << 16, 9)
         assert np.array_equal(big[: 1 << 16], small)
 
+    def test_in_place_fill_matches_two_step_reference(self):
+        # three chunks, the last one ragged: each chunk is a fresh Gaussian
+        # draw divided by its row norms
+        count = 2 * (1 << 16) + 5
+        ref = np.empty((count, 8))
+        for ci, child in enumerate(np.random.SeedSequence([9]).spawn(3)):
+            lo, hi = ci << 16, min((ci + 1) << 16, count)
+            g = np.random.default_rng(child).standard_normal((hi - lo, 8))
+            ref[lo:hi] = g / np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
+        assert np.array_equal(sphere_samples(2, count, 9), ref)
+
     def test_coordinate_means_vanish(self):
         pts = sphere_samples(2, 1_000_000, 1234)
         bound = 3.0 / math.sqrt(pts.shape[0])
@@ -200,3 +211,10 @@ def test_pair_invariants_match_inner():
         assert abs(s[i] - q.norm() ** 2) <= 1e-12
         assert abs(am[0, i] - a[i]) <= 1e-15
         assert abs(sm[0, i] - s[i]) <= 1e-15
+    # the longer operand on the left: the axis rotations move to the right one
+    al, sl = pair_invariants_matrix(pts, pts[:2])
+    for i in range(6):
+        for j in range(2):
+            q = inner(HVector(pts[i]), HVector(pts[j]))
+            assert abs(al[i, j] - q.re) <= 1e-12
+            assert abs(sl[i, j] - q.norm() ** 2) <= 1e-12

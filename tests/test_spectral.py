@@ -20,7 +20,7 @@ from quatsphere import (
     spectrum_scan,
     sphere_samples,
 )
-from quatsphere import spectral
+from quatsphere import quat_core, spectral
 from quatsphere.quat_core import pair_invariants_matrix
 from quatsphere.spectral import function_measure
 
@@ -209,6 +209,33 @@ class TestSpectrumScan:
             direct = np.array([mu.weights @ bank8[hm].values(x, mu.points) for x in xs])
             assert np.mean(direct**2) == pytest.approx(scan.entry(*hm).norm_sq, rel=1e-12)
 
+    @pytest.mark.parametrize("elements", [4_000_000, 1_000])
+    def test_block_size_is_invisible(self, bank8, monkeypatch, elements):
+        # a block of the whole measure, and blocks of 10 atoms (62 in the
+        # multiplier) with a ragged last one, give the same sums
+        mu = gen_uniform(2, 3_001, seed=16)
+        xs = sphere_samples(2, 16, 23)
+        scan = spectrum_scan(mu, bank8, 8, 0.1, probes=96, seed=3)
+        mult = apply_multiplier(mu, bank8, 0.2, 8, xs).values
+        monkeypatch.setattr(quat_core, "_BLOCK_ELEMENTS", elements)
+        rescan = spectrum_scan(mu, bank8, 8, 0.1, probes=96, seed=3)
+        for e, again in zip(scan.entries, rescan.entries):
+            assert again.norm_sq == pytest.approx(e.norm_sq, rel=1e-12), (e.h, e.m)
+        remult = apply_multiplier(mu, bank8, 0.2, 8, xs).values
+        assert np.max(np.abs(remult - mult)) <= 1e-12 * np.max(np.abs(mult))
+
+    def test_blocks_hold_at_most_the_block_constant(self, bank8, monkeypatch):
+        pairs = []
+
+        def counting(xs, ys):
+            pairs.append(xs.shape[0] * ys.shape[0])
+            return pair_invariants_matrix(xs, ys)
+
+        monkeypatch.setattr(spectral, "pair_invariants_matrix", counting)
+        spectrum_scan(gen_uniform(2, 2_000, seed=18), bank8, 4, 0.1, probes=384, seed=3)
+        assert len(pairs) == math.ceil(2_000 / (quat_core._BLOCK_ELEMENTS // 384))
+        assert max(pairs) <= quat_core._BLOCK_ELEMENTS
+
 
 class TestMultiplier:
     def test_uniform_is_annihilated(self, bank8):
@@ -266,7 +293,7 @@ class TestMultiplier:
             return pair_invariants_matrix(xs, ys)
 
         monkeypatch.setattr(spectral, "pair_invariants_matrix", counting)
-        monkeypatch.setattr(spectral, "_BLOCK_ELEMENTS", 16 * 300)
+        monkeypatch.setattr(quat_core, "_BLOCK_ELEMENTS", 16 * 300)
         mu = gen_uniform(2, 1_000, seed=17)
         apply_multiplier(mu, bank8, 0.2, 8, sphere_samples(2, 16, 22))
         assert calls == [300, 300, 300, 100]

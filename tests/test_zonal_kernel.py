@@ -19,6 +19,10 @@ from quatsphere import (
     raw_kernel,
     sphere_samples,
 )
+from quatsphere import quat_core, zonal_kernel
+from quatsphere.quat_core import pair_invariants, pair_invariants_matrix, seeded_rng
+from quatsphere.verification import _TAG_PRODUCT, _product_integral
+from quatsphere.zonal_kernel import raw_kernel_values
 
 
 def point_pair_with_invariants(a: float, s: float) -> tuple[SpherePoint, SpherePoint]:
@@ -198,6 +202,64 @@ class TestCache:
         loaded = KernelCache(path).get(KernelIndex(2, 1, 2))
         assert loaded is not None
         assert loaded.c == pytest.approx(1.5 * cache.get(KernelIndex(2, 1, 2)).c)
+
+
+def reference_calibration(idx: KernelIndex, n_samples: int, seed: int, probes: int = 6) -> tuple[float, float]:
+    """calibrate's (c, spread) from a per-probe loop over all samples at once."""
+    samples = sphere_samples(idx.n, n_samples, [seed, idx.n, idx.h, idx.m, zonal_kernel._TAG_SAMPLES])
+    rng = seeded_rng(seed, idx.n, idx.h, idx.m, zonal_kernel._TAG_PROBES)
+    ratios = []
+    for x, z, target in zip(*zonal_kernel._candidate_probe_pairs(idx, rng, 4096)):
+        if len(ratios) == probes:
+            break
+        ax, sx = pair_invariants(x, samples)
+        az, sz = pair_invariants(z, samples)
+        prod = raw_kernel_values(idx, ax, sx) * raw_kernel_values(idx, az, sz)
+        if abs(np.mean(prod)) > 10.0 * np.std(prod) / math.sqrt(n_samples):
+            ratios.append(target / np.mean(prod))
+    c = float(np.mean(ratios))
+    return c, float(np.std(ratios)) / abs(c)
+
+
+class TestBlockedSamplePath:
+    @pytest.mark.parametrize("hm", [(0, 0), (3, 1), (6, 0)])
+    def test_calibrate_matches_per_probe_loop(self, hm):
+        idx = KernelIndex(*hm, 2)
+        ck = calibrate(idx, 20_000, seed=2)
+        c, spread = reference_calibration(idx, 20_000, seed=2)
+        assert ck.c == pytest.approx(c, rel=1e-12)
+        assert ck.spread == pytest.approx(spread, rel=1e-12)
+
+    def test_calibrate_blocks_hold_at_most_the_block_constant(self, monkeypatch):
+        pairs = []
+
+        def counting(xs, ys):
+            pairs.append(xs.shape[0] * ys.shape[0])
+            return pair_invariants_matrix(xs, ys)
+
+        monkeypatch.setattr(zonal_kernel, "pair_invariants_matrix", counting)
+        calibrate(KernelIndex(3, 1, 2), 20_000, seed=2)
+        # two blocks per probe pair, the second one ragged
+        assert len(pairs) == 2 * 6
+        assert max(pairs) <= quat_core._BLOCK_ELEMENTS
+
+    @pytest.mark.parametrize("pair", [((3, 1), (3, 1)), ((2, 1), (4, 2))])
+    def test_product_integral_matches_pointwise_values(self, bank8, pair):
+        ck1, ck2 = bank8[pair[0]], bank8[pair[1]]
+        est, stderr, _ = _product_integral(ck1, ck2, 20_000, 5, _TAG_PRODUCT)
+        (h1, m1), (h2, m2) = pair
+        ys = sphere_samples(2, 20_000, [5, _TAG_PRODUCT, h1, m1, h2, m2])
+        x, z = sphere_samples(2, 2, [5, _TAG_PRODUCT + 1, h1, h2, m1, m2])
+        prod = ck1.values(x, ys) * ck2.values(z, ys)
+        assert est == pytest.approx(np.mean(prod), rel=1e-12)
+        assert stderr == pytest.approx(np.std(prod, ddof=1) / math.sqrt(20_000), rel=1e-12)
+
+    def test_product_integral_refuses_unusable_kernels(self, bank8):
+        bad = CalibratedKernel(KernelIndex(2, 1, 2), c=1.0, spread=0.5, n_samples=1, seed=0, probes=3)
+        with pytest.raises(UnusableKernelError):
+            _product_integral(bad, bank8[(2, 1)], 20_000, 5, _TAG_PRODUCT)
+        with pytest.raises(UnusableKernelError):
+            _product_integral(bank8[(2, 1)], bad, 20_000, 5, _TAG_PRODUCT)
 
 
 def test_section_matches_pointwise(bank8):
