@@ -1,7 +1,7 @@
 """Harmonic analysis on the unit sphere of H^n.
 
-Zonal projection kernels indexed by pairs (h, m) with 2m <= h, Monte Carlo
-calibration enforcing their idempotency, finite-difference verification of
+Zonal projection kernels indexed by pairs (h, m) with 2m <= h, with exact
+constants from the Weyl dimension formula, finite-difference verification of
 the Laplace-Beltrami / sublaplacian eigenvalue formulas, a smooth cone
 multiplier acting on discrete measures, and numerical dimension estimation
 for example measures.
@@ -25,7 +25,6 @@ from .quat_core import (
 from .ortho_poly import JacobiParams, binomial, cheb_u_scaled, jacobi_eval
 from .zonal_kernel import (
     CalibratedKernel,
-    CalibrationError,
     KernelCache,
     KernelIndex,
     UnusableKernelError,

@@ -1,13 +1,13 @@
-"""Command-line entry point for calibration, scans, verification and reports.
+"""Command-line entry point for kernel constants, scans, verification and reports.
 
 Measure files are plain text: a header line "# n=<n>" followed by one atom
 per line as 4n+1 comma-separated reals (ambient coordinates, then weight).
 In place of a file, the built-in fixtures uniform | point | subsphere:<k> |
 sp1-orbit may be named directly; they are generated from (n, atoms, seed).
 
-Exit codes: 0 success; 1 a check failed, or a kernel could not be calibrated
-or is flagged unusable; 2 a usage, parameter or I/O error.  Errors print one
-line on stderr rather than a traceback.
+Exit codes: 0 success; 1 a check failed, or a cached kernel is flagged
+unusable; 2 a usage, parameter or I/O error.  Errors print one line on
+stderr rather than a traceback.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .dimension_lab import (
 from .quat_core import SpherePoint, sphere_samples
 from .spectral import DiscreteMeasure, apply_multiplier, spectrum_scan
 from .verification import run_verification
-from .zonal_kernel import CalibrationError, KernelCache, UnusableKernelError, calibrate_bank, index_range
+from .zonal_kernel import KernelCache, UnusableKernelError, calibrate_bank, index_range
 
 _TAG_FIXTURE = 71
 _TAG_MULT = 72
@@ -171,18 +171,9 @@ def resolve_measure(name: str, cfg: RunConfig) -> DiscreteMeasure:
     raise UsageError(f"{name!r} is neither a fixture name nor an existing file")
 
 
-def _bank(cfg: RunConfig, h_max: int | None = None):
+def _bank(cfg: RunConfig):
     """Calibrate (or load) every kernel up to h_max, updating the cache."""
-    cache = KernelCache(cfg.cache_path)
-    bank = calibrate_bank(
-        cfg.n,
-        cfg.h_max if h_max is None else h_max,
-        cfg.mc_samples,
-        cfg.seed,
-        probes=cfg.probe_count(6),
-        cache=cache,
-    )
-    return bank
+    return calibrate_bank(cfg.n, cfg.h_max, cfg.mc_samples, cfg.seed, cache=KernelCache(cfg.cache_path))
 
 
 def _bank_from_cache(cfg: RunConfig):
@@ -224,7 +215,7 @@ def _write_json(path: Path, payload: dict):
 def cmd_calibrate(cfg: RunConfig) -> int:
     cache = KernelCache(cfg.cache_path)
     for idx in index_range(cfg.n, cfg.h_max):
-        ck = cache.get_or_calibrate(idx, cfg.mc_samples, cfg.seed, cfg.probe_count(6))
+        ck = cache.get_or_calibrate(idx, cfg.mc_samples, cfg.seed)
         print(f"({idx.h},{idx.m}): c={ck.c:+.6e} spread={ck.spread:.4f}")
     cache.save()
     print(f"cache written to {cfg.cache_path}")
@@ -391,7 +382,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "report":
             return cmd_report(args.measure, cfg)
         raise UsageError(f"unknown command {args.command!r}")
-    except (CalibrationError, UnusableKernelError) as exc:
+    except UnusableKernelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (UsageError, ValueError) as exc:

@@ -1,26 +1,29 @@
-"""Zonal projection kernels on S^{4n-1} and their Monte Carlo calibration.
+"""Zonal projection kernels on S^{4n-1} and their exact constants.
 
 The raw kernel for an index (h, m) with 2m <= h is
 
     raw(x, y) = pref * C(h-m+2n-2, 2n-3) * W_{h-2m}(a, s) * P_m^{(2n-3, h-2m+1)}(2s - 1)
 
 with a = Re<x, y>, s = |<x, y>|^2 and pref = (h-2m+1)(h+2m-1) / ((2n-2)(2n-1)).
-The overall constant of the true projection kernel depends on normalization
-conventions that the raw formula does not fix (its sign is even negative at
-(0, 0) and the constant factor degenerates to 0 at (1, 0) although the
-eigenspace there is nonzero).  calibrate() therefore rescales each index by
-the unique constant c that makes the kernel idempotent under the normalized
-surface measure:
+The raw formula fixes the projection kernel only up to a constant (its sign
+is even negative at (0, 0), and the displayed factor degenerates to 0 at
+(1, 0) although the eigenspace there is nonzero).  The projection kernel K of
+an eigenspace reproduces it under the normalized surface measure, so its
+diagonal is the eigenspace dimension, and calibrate() sets
 
-    integral K(x, y) K(y, z) dsigma(y) = K(x, z).
+    c = dim(h, m) / raw(1, 1),
 
-With that normalization K(x, x) equals the dimension of the eigenspace.
+with dim(h, m) in integers from the Weyl dimension formula
+(KernelIndex.dimension).  K = c * raw is then idempotent,
+
+    integral K(x, y) K(y, z) dsigma(y) = K(x, z),
+
+which the verification module checks by Monte Carlo.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,35 +31,16 @@ import numpy as np
 
 from . import quat_core
 from .ortho_poly import JacobiParams, binomial, cheb_u_scaled, jacobi_eval
-from .quat_core import (
-    AXES,
-    Array,
-    SpherePoint,
-    _apply_axis_flat,
-    pair_invariants,
-    pair_invariants_matrix,
-    seeded_rng,
-    sphere_samples,
-)
+from .quat_core import Array, SpherePoint, pair_invariants, pair_invariants_matrix, sphere_samples
 
 _SPREAD_LIMIT = 0.05
 
-# calibration probe pairs are drawn with |<x,z>| in this window to stay away
-# from zeros of the kernel
-_PROBE_ABS_RANGE = (0.3, 0.9)
-
-# seed-stream tags so distinct random uses never collide
-_TAG_SAMPLES = 11
-_TAG_PROBES = 12
+# seed-stream tag so distinct random uses never collide
 _TAG_DIAG = 13
 
 
-class CalibrationError(RuntimeError):
-    """Raised when no usable calibration constant can be estimated."""
-
-
 class UnusableKernelError(ValueError):
-    """Raised when evaluating a kernel whose calibration diagnostics failed."""
+    """Raised when evaluating a kernel whose recorded spread marks it unusable."""
 
 
 def in_index_set(h: int, m: int) -> bool:
@@ -102,16 +86,41 @@ class KernelIndex:
         return JacobiParams(alpha=2 * self.n - 3, beta=self.k + 1, degree=self.m)
 
     @property
+    def dimension(self) -> int:
+        """Exact dimension of the (h, m) eigenspace.
+
+        The eigenspace is the Sp(n) x Sp(1) irreducible with highest weight
+        (h-m, m, 0, ..., 0) tensor (h-2m), so its dimension is (h-2m+1) times
+        the type C_n Weyl formula: with rho = (n, n-1, ..., 1) and
+        l = weight + rho,
+
+            dim_Sp(n) = prod_i l_i / rho_i * prod_{i<j} (l_i^2 - l_j^2) / (rho_i^2 - rho_j^2).
+        """
+        rho = range(self.n, 0, -1)
+        lam = [w + r for w, r in zip([self.h - self.m, self.m] + [0] * (self.n - 2), rho)]
+        num = den = 1
+        for i in range(self.n):
+            num *= lam[i]
+            den *= rho[i]
+            for j in range(i + 1, self.n):
+                num *= lam[i] ** 2 - lam[j] ** 2
+                den *= rho[i] ** 2 - rho[j] ** 2
+        sp_dim, rem = divmod(num, den)
+        if rem:
+            raise ArithmeticError(f"Weyl formula gave a non-integer dimension for {self}")
+        return (self.k + 1) * sp_dim
+
+    @property
     def prefactor(self) -> float:
         pref = (self.k + 1) * (self.h + 2 * self.m - 1) / ((2 * self.n - 2) * (2 * self.n - 1))
         # the constant factor vanishes at (1, 0) although the eigenspace does
-        # not; fall back to 1 so calibration can still fix the scale
+        # not; fall back to 1 so that c = dim / raw(1, 1) still fixes the scale
         return pref if pref != 0.0 else 1.0
 
     def coefficient(self, scale: float = 1.0) -> float:
         """scale * prefactor * C(h-m+2n-2, 2n-3), the constant in front of W_k P_m.
 
-        The scale (a calibration constant) is multiplied in first, so every
+        The scale (a kernel constant c) is multiplied in first, so every
         caller rounds the product the same way.
         """
         return scale * self.prefactor * binomial(self.h - self.m + 2 * self.n - 2, 2 * self.n - 3)
@@ -159,14 +168,17 @@ def raw_kernel(idx: KernelIndex, x: SpherePoint, y: SpherePoint) -> float:
 
 @dataclass(frozen=True)
 class CalibratedKernel:
-    """Raw kernel together with the idempotency-fixing constant c."""
+    """Raw kernel together with the idempotency-fixing constant c.
+
+    A constant from calibrate() has spread 0; a cached record keeps the spread
+    it was stored with, and a spread of 5% or more marks the kernel unusable.
+    """
 
     index: KernelIndex
     c: float
     spread: float
     n_samples: int
     seed: int
-    probes: int
 
     @property
     def usable(self) -> bool:
@@ -210,7 +222,6 @@ class CalibratedKernel:
             "spread": self.spread,
             "N": self.n_samples,
             "seed": self.seed,
-            "probes": self.probes,
         }
 
 
@@ -223,7 +234,7 @@ def kernel_dim(ck: CalibratedKernel, seed: int = 0) -> float:
     """Diagonal value averaged over 10 random points.
 
     The diagonal of a zonal kernel is constant, so this doubles as a zonality
-    sanity check; under idempotency calibration it estimates the dimension of
+    sanity check; with the constant from calibrate() it is the dimension of
     the eigenspace.
     """
     pts = sphere_samples(ck.index.n, 10, [seed, ck.index.h, ck.index.m, _TAG_DIAG])
@@ -232,78 +243,16 @@ def kernel_dim(ck: CalibratedKernel, seed: int = 0) -> float:
     return float(np.mean(vals))
 
 
-def _candidate_probe_pairs(
-    idx: KernelIndex, rng: np.random.Generator, count: int
-) -> tuple[Array, Array, Array]:
-    """Candidate pairs in the |<x,z>| window, ordered by decreasing |raw(x, z)|.
+def calibrate(idx: KernelIndex, n_samples: int, seed: int) -> CalibratedKernel:
+    """The kernel constant c = dim(h, m) / raw(1, 1), exact up to rounding.
 
-    Ordering by the raw kernel magnitude keeps probes away from zeros of the
-    kernel, where the idempotency ratio estimator degenerates.
-    """
-    lo, hi = _PROBE_ABS_RANGE
-    xs = rng.standard_normal((count, 4 * idx.n))
-    xs /= np.linalg.norm(xs, axis=1, keepdims=True)
-    zs = rng.standard_normal((count, 4 * idx.n))
-    zs /= np.linalg.norm(zs, axis=1, keepdims=True)
-    a = np.sum(xs * zs, axis=1)
-    s = a * a
-    for ax in AXES:
-        comp = np.sum(xs * _apply_axis_flat(zs, ax), axis=1)
-        s += comp * comp
-    keep = (s >= lo * lo) & (s <= hi * hi)
-    if not np.any(keep):
-        raise CalibrationError("no candidate pair landed in the |<x,z>| window")
-    xs, zs = xs[keep], zs[keep]
-    targets = raw_kernel_values(idx, a[keep], s[keep])
-    order = np.argsort(-np.abs(targets), kind="stable")
-    return xs[order], zs[order], targets[order]
-
-
-def calibrate(
-    idx: KernelIndex,
-    n_samples: int,
-    seed: int,
-    probes: int = 6,
-    candidate_pool: int = 4096,
-) -> CalibratedKernel:
-    """Fix the kernel constant by enforcing idempotency.
-
-    For each probe pair (x, z) the product integral
-    A(x, z) = E_y[raw(x, y) raw(y, z)] is estimated over n_samples uniform
-    points y, and c is the mean of raw(x, z) / A(x, z) across probes.  The
-    relative spread of these ratios is recorded; probes whose A estimate is
-    statistically indistinguishable from zero are skipped in favor of the
-    next candidate pair.
+    n_samples and seed go into the cache record, which reuses an entry only
+    for the same seed and at least the requested sample count.
     """
     if n_samples < 10_000:
         raise ValueError("calibration needs at least 1e4 Monte Carlo samples")
-    if probes < 3:
-        raise ValueError("calibration needs at least 3 probe pairs")
-
-    samples = sphere_samples(idx.n, n_samples, [seed, idx.n, idx.h, idx.m, _TAG_SAMPLES])
-    probe_rng = seeded_rng(seed, idx.n, idx.h, idx.m, _TAG_PROBES)
-    xs, zs, targets = _candidate_probe_pairs(idx, probe_rng, candidate_pool)
-
-    ratios = []
-    for x, z, target in zip(xs, zs, targets):
-        if len(ratios) == probes:
-            break
-        prod = _kernel_products(idx, idx, x, z, samples)
-        a_est = float(np.mean(prod))
-        a_err = float(np.std(prod)) / math.sqrt(n_samples)
-        if abs(a_est) <= 10.0 * a_err:
-            continue
-        ratios.append(float(target) / a_est)
-    if len(ratios) < probes:
-        raise CalibrationError(
-            f"{idx}: only {len(ratios)} of {probes} probe pairs gave a significant product integral"
-        )
-
-    c = float(np.mean(ratios))
-    spread = float(np.std(ratios)) / abs(c) if c != 0.0 else math.inf
-    return CalibratedKernel(
-        index=idx, c=c, spread=spread, n_samples=n_samples, seed=seed, probes=probes
-    )
+    c = idx.dimension / float(raw_kernel_values(idx, 1.0, 1.0))
+    return CalibratedKernel(index=idx, c=c, spread=0.0, n_samples=n_samples, seed=seed)
 
 
 def index_range(n: int, h_max: int) -> list[KernelIndex]:
@@ -318,14 +267,11 @@ def calibrate_bank(
     h_max: int,
     n_samples: int,
     seed: int,
-    probes: int = 6,
     cache: "KernelCache | None" = None,
 ) -> dict[tuple[int, int], CalibratedKernel]:
     """Calibrated kernels for every index with h <= h_max, keyed by (h, m)."""
     cks = [
-        calibrate(idx, n_samples, seed, probes)
-        if cache is None
-        else cache.get_or_calibrate(idx, n_samples, seed, probes)
+        calibrate(idx, n_samples, seed) if cache is None else cache.get_or_calibrate(idx, n_samples, seed)
         for idx in index_range(n, h_max)
     ]
     if cache is not None:
@@ -334,9 +280,9 @@ def calibrate_bank(
 
 
 class KernelCache:
-    """JSON sidecar persisting calibration constants across runs.
+    """JSON sidecar persisting kernel constants across runs.
 
-    Entries are keyed "n/h/m" and hold {c, spread, N, seed, probes}; a cached
+    Entries are keyed "n/h/m" and hold {c, spread, N, seed}; a cached
     entry is reused only when it was produced with at least the requested
     sample count and the same seed.
     """
@@ -361,19 +307,16 @@ class KernelCache:
             spread=float(rec["spread"]),
             n_samples=int(rec["N"]),
             seed=int(rec["seed"]),
-            probes=int(rec.get("probes", 0)),
         )
 
     def put(self, ck: CalibratedKernel):
         self._entries[self._key(ck.index)] = ck.to_record()
 
-    def get_or_calibrate(
-        self, idx: KernelIndex, n_samples: int, seed: int, probes: int = 6
-    ) -> CalibratedKernel:
+    def get_or_calibrate(self, idx: KernelIndex, n_samples: int, seed: int) -> CalibratedKernel:
         ck = self.get(idx)
         if ck is not None and ck.n_samples >= n_samples and ck.seed == seed:
             return ck
-        ck = calibrate(idx, n_samples, seed, probes)
+        ck = calibrate(idx, n_samples, seed)
         self.put(ck)
         return ck
 

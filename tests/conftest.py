@@ -6,13 +6,12 @@ BANK_N = 2
 BANK_H_MAX = 8
 BANK_SAMPLES = 200_000
 BANK_SEED = 2024
-BANK_PROBES = 6
 
 
 @pytest.fixture(scope="session")
 def bank8():
     """Calibrated kernels for n=2, h <= 8 at the acceptance-grade sample count."""
-    return calibrate_bank(BANK_N, BANK_H_MAX, BANK_SAMPLES, seed=BANK_SEED, probes=BANK_PROBES)
+    return calibrate_bank(BANK_N, BANK_H_MAX, BANK_SAMPLES, seed=BANK_SEED)
 
 
 @pytest.fixture(scope="session")

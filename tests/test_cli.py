@@ -13,6 +13,7 @@ from quatsphere.cli import (
     resolve_measure,
     save_measure,
 )
+from quatsphere.zonal_kernel import index_range, raw_kernel_values
 
 FAST = ["--n", "2", "--h-max", "3", "--mc-samples", "20000", "--seed", "5"]
 
@@ -209,12 +210,17 @@ class TestCommands:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: calibration needs")
 
-    def test_failed_calibration_is_check_failure(self, tmp_path, capsys):
-        # at 1e4 samples and seed 1 the (6, 0) kernel finds too few probe pairs
-        rc = main(["calibrate", "--n", "2", "--h-max", "6", "--mc-samples", "10000", "--seed", "1",
-                   "--cache", str(tmp_path / "c.json")])
-        assert rc == 1
-        assert "error: KernelIndex(h=6, m=0, n=2)" in capsys.readouterr().err
+    def test_calibrate_gives_exact_dimensions(self, tmp_path):
+        # the Monte Carlo fit this replaced could not fit (6, 0) at 1e4 samples
+        cache = tmp_path / "c.json"
+        rc = main(["calibrate", "--n", "2", "--h-max", "12", "--mc-samples", "10000", "--seed", "1",
+                   "--cache", str(cache)])
+        assert rc == 0
+        blob = json.loads(cache.read_text())
+        assert len(blob) == len(index_range(2, 12))
+        for idx in index_range(2, 12):
+            diag = blob[f"2/{idx.h}/{idx.m}"]["c"] * float(raw_kernel_values(idx, 1.0, 1.0))
+            assert diag == pytest.approx(idx.dimension, rel=1e-12), idx
 
     def test_unusable_kernel_is_check_failure(self, tmp_path, capsys):
         cache = tmp_path / "cache.json"

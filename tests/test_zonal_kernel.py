@@ -19,8 +19,7 @@ from quatsphere import (
     raw_kernel,
     sphere_samples,
 )
-from quatsphere import quat_core, zonal_kernel
-from quatsphere.quat_core import pair_invariants, pair_invariants_matrix, seeded_rng
+from quatsphere.quat_core import pair_invariants_matrix
 from quatsphere.verification import _TAG_PRODUCT, _product_integral
 from quatsphere.zonal_kernel import raw_kernel_values
 
@@ -159,14 +158,53 @@ class TestCalibration:
     def test_validation(self):
         with pytest.raises(ValueError):
             calibrate(KernelIndex(2, 1, 2), 100, seed=1)
-        with pytest.raises(ValueError):
-            calibrate(KernelIndex(2, 1, 2), 20_000, seed=1, probes=2)
 
     def test_unusable_kernel_refuses_evaluation(self):
-        bad = CalibratedKernel(KernelIndex(2, 1, 2), c=1.0, spread=0.5, n_samples=1, seed=0, probes=3)
+        bad = CalibratedKernel(KernelIndex(2, 1, 2), c=1.0, spread=0.5, n_samples=1, seed=0)
         x, y = point_pair_with_invariants(0.5, 0.7)
         with pytest.raises(UnusableKernelError):
             kernel(bad, x, y)
+
+
+def harmonic_dim(h: int, n: int) -> int:
+    """Dimension of the degree-h spherical harmonics on S^{4n-1} in R^{4n}."""
+    d = 4 * n
+    return math.comb(h + d - 1, d - 1) - (math.comb(h + d - 3, d - 1) if h >= 2 else 0)
+
+
+class TestExactConstants:
+    def test_dimension_examples(self):
+        for (h, m), want in {(0, 0): 1, (2, 1): 5, (4, 2): 14, (2, 0): 30, (8, 4): 55, (3, 1): 32}.items():
+            assert KernelIndex(h, m, 2).dimension == want, (h, m)
+        assert KernelIndex(1, 0, 3).dimension == 12
+        assert KernelIndex(2, 1, 3).dimension == 14
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_dimensions_sum_to_harmonic_dimension(self, n):
+        for h in range(12):
+            assert sum(KernelIndex(h, m, n).dimension for m in range(h // 2 + 1)) == harmonic_dim(h, n), h
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_diagonal_is_the_dimension(self, n):
+        for idx in index_range(n, 12):
+            ck = calibrate(idx, 10_000, seed=0)
+            assert ck.spread == 0.0
+            assert ck.diagonal() == pytest.approx(idx.dimension, rel=1e-12), idx
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_shell_sum_is_the_zonal_harmonic(self, n):
+        # sum_m K_{h,m}(x, y) = dim_h C_h^{(2n-1)}(a) / C_h^{(2n-1)}(1), with a = Re<x,y>
+        special = pytest.importorskip("scipy.special")
+        xs, ys = sphere_samples(n, 20, [3, n]), sphere_samples(n, 20, [4, n])
+        a, s = (np.diag(v) for v in pair_invariants_matrix(xs, ys))
+        for h in range(13):
+            shell = sum(
+                calibrate(idx, 10_000, seed=0).c * raw_kernel_values(idx, a, s)
+                for idx in (KernelIndex(h, m, n) for m in range(h // 2 + 1))
+            )
+            dim_h = harmonic_dim(h, n)
+            zonal = dim_h * special.eval_gegenbauer(h, 2 * n - 1, a) / special.eval_gegenbauer(h, 2 * n - 1, 1.0)
+            assert np.max(np.abs(shell - zonal)) <= 1e-12 * dim_h, h
 
 
 class TestCache:
@@ -186,10 +224,10 @@ class TestCache:
     def test_reuse_requires_matching_seed(self, tmp_path):
         path = tmp_path / "cache.json"
         cache = KernelCache(path)
-        ck = cache.get_or_calibrate(KernelIndex(2, 1, 2), 20_000, seed=4)
+        cache.get_or_calibrate(KernelIndex(2, 1, 2), 20_000, seed=4)
         refreshed = cache.get_or_calibrate(KernelIndex(2, 1, 2), 20_000, seed=5)
         assert refreshed.seed == 5
-        assert refreshed.c != ck.c or refreshed.spread != ck.spread
+        assert cache.get(KernelIndex(2, 1, 2)).seed == 5
 
     def test_tampered_cache_is_visible(self, tmp_path):
         path = tmp_path / "cache.json"
@@ -204,45 +242,7 @@ class TestCache:
         assert loaded.c == pytest.approx(1.5 * cache.get(KernelIndex(2, 1, 2)).c)
 
 
-def reference_calibration(idx: KernelIndex, n_samples: int, seed: int, probes: int = 6) -> tuple[float, float]:
-    """calibrate's (c, spread) from a per-probe loop over all samples at once."""
-    samples = sphere_samples(idx.n, n_samples, [seed, idx.n, idx.h, idx.m, zonal_kernel._TAG_SAMPLES])
-    rng = seeded_rng(seed, idx.n, idx.h, idx.m, zonal_kernel._TAG_PROBES)
-    ratios = []
-    for x, z, target in zip(*zonal_kernel._candidate_probe_pairs(idx, rng, 4096)):
-        if len(ratios) == probes:
-            break
-        ax, sx = pair_invariants(x, samples)
-        az, sz = pair_invariants(z, samples)
-        prod = raw_kernel_values(idx, ax, sx) * raw_kernel_values(idx, az, sz)
-        if abs(np.mean(prod)) > 10.0 * np.std(prod) / math.sqrt(n_samples):
-            ratios.append(target / np.mean(prod))
-    c = float(np.mean(ratios))
-    return c, float(np.std(ratios)) / abs(c)
-
-
 class TestBlockedSamplePath:
-    @pytest.mark.parametrize("hm", [(0, 0), (3, 1), (6, 0)])
-    def test_calibrate_matches_per_probe_loop(self, hm):
-        idx = KernelIndex(*hm, 2)
-        ck = calibrate(idx, 20_000, seed=2)
-        c, spread = reference_calibration(idx, 20_000, seed=2)
-        assert ck.c == pytest.approx(c, rel=1e-12)
-        assert ck.spread == pytest.approx(spread, rel=1e-12)
-
-    def test_calibrate_blocks_hold_at_most_the_block_constant(self, monkeypatch):
-        pairs = []
-
-        def counting(xs, ys):
-            pairs.append(xs.shape[0] * ys.shape[0])
-            return pair_invariants_matrix(xs, ys)
-
-        monkeypatch.setattr(zonal_kernel, "pair_invariants_matrix", counting)
-        calibrate(KernelIndex(3, 1, 2), 20_000, seed=2)
-        # two blocks per probe pair, the second one ragged
-        assert len(pairs) == 2 * 6
-        assert max(pairs) <= quat_core._BLOCK_ELEMENTS
-
     @pytest.mark.parametrize("pair", [((3, 1), (3, 1)), ((2, 1), (4, 2))])
     def test_product_integral_matches_pointwise_values(self, bank8, pair):
         ck1, ck2 = bank8[pair[0]], bank8[pair[1]]
@@ -255,7 +255,7 @@ class TestBlockedSamplePath:
         assert stderr == pytest.approx(np.std(prod, ddof=1) / math.sqrt(20_000), rel=1e-12)
 
     def test_product_integral_refuses_unusable_kernels(self, bank8):
-        bad = CalibratedKernel(KernelIndex(2, 1, 2), c=1.0, spread=0.5, n_samples=1, seed=0, probes=3)
+        bad = CalibratedKernel(KernelIndex(2, 1, 2), c=1.0, spread=0.5, n_samples=1, seed=0)
         with pytest.raises(UnusableKernelError):
             _product_integral(bad, bank8[(2, 1)], 20_000, 5, _TAG_PRODUCT)
         with pytest.raises(UnusableKernelError):
