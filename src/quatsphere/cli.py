@@ -5,9 +5,9 @@ per line as 4n+1 comma-separated reals (ambient coordinates, then weight).
 In place of a file, the built-in fixtures uniform | point | subsphere:<k> |
 sp1-orbit may be named directly; they are generated from (n, atoms, seed).
 
-Exit codes: 0 success; 1 a check failed, or a cached kernel is flagged
-unusable; 2 a usage, parameter or I/O error.  Errors print one line on
-stderr rather than a traceback.
+Exit codes: 0 success; 1 a check failed, a cached kernel is unusable or the
+eigencheck probes are degenerate; 2 a usage, parameter or I/O error.
+Errors print one line on stderr rather than a traceback.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .diffops import DegenerateProbesError
 from .dimension_lab import (
     correlation_dimension,
     gen_point_mass,
@@ -382,7 +383,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "report":
             return cmd_report(args.measure, cfg)
         raise UsageError(f"unknown command {args.command!r}")
-    except UnusableKernelError as exc:
+    except (UnusableKernelError, DegenerateProbesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (UsageError, ValueError) as exc:

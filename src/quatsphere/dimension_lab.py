@@ -24,6 +24,10 @@ _TAG_REFS = 42
 # estimator tolerance at ~1e5 samples; used by the consistency verdict
 DIM_TOLERANCE = 0.4
 
+# pairs per distance block (1 MB of float64) and atoms per column tile (1 MB of coordinates at n=2)
+_DISTANCE_BLOCK = 131_072
+_DISTANCE_TILE = 16_384
+
 
 def gen_point_mass(x0: SpherePoint) -> DiscreteMeasure:
     return DiscreteMeasure(x0.vec[None, :], np.array([1.0]), name="point")
@@ -80,6 +84,27 @@ class DimensionEstimate:
         }
 
 
+def _sq_distance_blocks(points: Array, ref_idx: Array):
+    """Yield (lo, c0, d2): squared distances from points[ref_idx[lo:lo+rows]] to points[c0:c0+cols].
+
+    Equal column tiles keep a tile's coordinates in cache while the reference rows
+    stream past.  Self-pairs read inf; callers clip coincident atoms at 0.
+    """
+    m = points.shape[0]
+    sq = np.sum(points * points, axis=1)
+    cols = math.ceil(m / math.ceil(m / _DISTANCE_TILE))
+    rows = max(1, _DISTANCE_BLOCK // cols)
+    for c0 in range(0, m, cols):
+        for lo in range(0, len(ref_idx), rows):
+            ridx = ref_idx[lo : lo + rows]
+            g = (2.0 * points[ridx]) @ points[c0 : c0 + cols].T  # exact doubling: G's rounding is kept
+            d2 = np.add.outer(sq[ridx], sq[c0 : c0 + cols])
+            d2 -= g
+            own = (ridx >= c0) & (ridx < c0 + cols)
+            d2[own, ridx[own] - c0] = np.inf
+            yield lo, c0, d2
+
+
 def _pair_counts(
     points: Array,
     weights: Array,
@@ -90,40 +115,24 @@ def _pair_counts(
 ) -> Array:
     """Weighted pair counts below each edge (cumulative over bins).
 
-    Distances are histogrammed as squares against squared edges, which avoids
-    a square root over every pair.
+    Distances are binned as squares against squared edges, and only those inside
+    the last edge: np.histogram would sort every pair before dropping the rest.
     """
-    m = points.shape[0]
     hist = np.zeros(len(edges) - 1)
     edges_sq = edges * edges
-    block = max(1, 2_000_000 // m)
-    sq = np.sum(points * points, axis=1)
-    for lo in range(0, len(ref_idx), block):
-        ridx = ref_idx[lo : lo + block]
-        refs = points[ridx]
-        d2 = sq[ridx][:, None] + sq[None, :] - 2.0 * (refs @ points.T)
-        np.maximum(d2, 0.0, out=d2)
-        d2[np.arange(len(ridx)), ridx] = np.inf  # exclude self-pairs
-        if uniform:
-            hist += np.histogram(d2, bins=edges_sq)[0]
-        else:
-            wprod = ref_w[lo : lo + block][:, None] * weights[None, :]
-            hist += np.histogram(d2, bins=edges_sq, weights=wprod)[0]
+    for lo, c0, d2 in _sq_distance_blocks(points, ref_idx):
+        rows, cols = np.divmod(np.flatnonzero(d2 <= edges_sq[-1]), d2.shape[1])
+        wprod = None if uniform else ref_w[lo + rows] * weights[c0 + cols]
+        hist += np.histogram(np.maximum(d2[rows, cols], 0.0), bins=edges_sq, weights=wprod)[0]
     return np.cumsum(hist)
 
 
 def _median_nn(points: Array, ref_idx: Array) -> float:
     """Median nearest-neighbour distance seen from a reference subset."""
-    sq = np.sum(points * points, axis=1)
-    nn = np.empty(len(ref_idx))
-    block = max(1, 2_000_000 // points.shape[0])
-    for lo in range(0, len(ref_idx), block):
-        ridx = ref_idx[lo : lo + block]
-        d2 = sq[ridx][:, None] + sq[None, :] - 2.0 * (points[ridx] @ points.T)
-        np.maximum(d2, 0.0, out=d2)
-        d2[np.arange(len(ridx)), ridx] = np.inf
-        nn[lo : lo + block] = d2.min(axis=1)
-    return float(math.sqrt(np.median(nn)))
+    nn = np.full(len(ref_idx), np.inf)
+    for lo, _, d2 in _sq_distance_blocks(points, ref_idx):
+        nn[lo : lo + len(d2)] = np.minimum(nn[lo : lo + len(d2)], d2.min(axis=1))
+    return float(math.sqrt(np.median(np.maximum(nn, 0.0))))
 
 
 def correlation_dimension(
@@ -168,16 +177,11 @@ def correlation_dimension(
         rng = seeded_rng(seed, _TAG_REFS)
         ref_idx = np.sort(rng.choice(m, size=max_refs, replace=True, p=wn))
         ref_w = np.full(max_refs, 1.0 / max_refs)
-        uniform = uniform  # reference thinning keeps the uniform fast path valid
 
     # rough diameter from reference pairs only
-    probe = pts[ref_idx[:: max(1, len(ref_idx) // 512)]]
-    d2max = np.max(
-        np.sum(probe * probe, axis=1)[:, None]
-        + np.sum(pts * pts, axis=1)[None, :]
-        - 2.0 * probe @ pts.T
-    )
-    diameter = math.sqrt(max(float(d2max), 0.0))
+    probe = _sq_distance_blocks(pts, ref_idx[:: max(1, len(ref_idx) // 512)])
+    d2max = max(float(np.max(d2, where=d2 < np.inf, initial=0.0)) for _, _, d2 in probe)
+    diameter = math.sqrt(d2max)
     if diameter < 1e-9:
         return degenerate()
 
@@ -227,17 +231,10 @@ def s_energy(measure: DiscreteMeasure, s: float) -> float:
     if not measure.nonnegative:
         raise ValueError("s-energy is defined for nonnegative measures")
     pts, w = measure.points, measure.weights
-    m = measure.natoms
     total = 0.0
-    block = max(1, 2_000_000 // m)
-    sq = np.sum(pts * pts, axis=1)
-    for lo in range(0, m, block):
-        hi = min(lo + block, m)
-        d2 = sq[lo:hi][:, None] + sq[None, :] - 2.0 * pts[lo:hi] @ pts.T
-        np.maximum(d2, 0.0, out=d2)
-        d = np.sqrt(d2)
-        d[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
-        total += float(np.sum(w[lo:hi][:, None] * w[None, :] * d ** (-s)))
+    for lo, c0, d2 in _sq_distance_blocks(pts, np.arange(measure.natoms)):
+        d = np.sqrt(np.maximum(d2, 0.0, out=d2))
+        total += float(np.sum(w[lo : lo + len(d)][:, None] * w[c0 : c0 + d.shape[1]] * d ** (-s)))
     return total
 
 

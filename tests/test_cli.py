@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from quatsphere import gen_subsphere, gen_uniform
+from quatsphere import gen_subsphere, gen_uniform, verification
 from quatsphere.cli import (
     RunConfig,
     UsageError,
@@ -13,6 +13,7 @@ from quatsphere.cli import (
     resolve_measure,
     save_measure,
 )
+from quatsphere.diffops import DegenerateProbesError
 from quatsphere.zonal_kernel import index_range, raw_kernel_values
 
 FAST = ["--n", "2", "--h-max", "3", "--mc-samples", "20000", "--seed", "5"]
@@ -232,6 +233,15 @@ class TestCommands:
                    "--cache", str(cache), "--out", str(tmp_path / "s")])
         assert rc == 1
         assert "error: kernel KernelIndex(h=2, m=1, n=2) flagged unusable" in capsys.readouterr().err
+
+    def test_degenerate_probes_are_check_failure(self, tmp_path, capsys, monkeypatch):
+        def degenerate(ck, *args, **kwargs):
+            raise DegenerateProbesError(f"no probe with |f| above 0.1*max for {ck.index}")
+
+        monkeypatch.setattr(verification, "eigencheck", degenerate)
+        rc = main(["verify", *FAST, "--cache", str(tmp_path / "c.json"), "--out", str(tmp_path / "v.json")])
+        assert rc == 1
+        assert "error: no probe with |f| above 0.1*max for KernelIndex(h=0, m=0, n=2)" in capsys.readouterr().err
 
     def test_bad_subsphere_k_is_usage_error(self, tmp_path):
         rc = main(["dimension", "subsphere:7", "--n", "2", "--atoms", "500",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from quatsphere import (
     s_energy,
     theorem_consistency_report,
 )
-from quatsphere.dimension_lab import _TAG_ORBIT
+from quatsphere import dimension_lab
+from quatsphere.dimension_lab import _TAG_ORBIT, _pair_counts, _sq_distance_blocks
 from quatsphere.quat_core import Quaternion, left_mul_points, seeded_rng, sphere_samples
 
 
@@ -100,6 +102,88 @@ class TestCorrelationDimension:
         mu = DiscreteMeasure(mu0.points, w / w.sum())
         est = correlation_dimension(mu, seed=4)
         assert abs(est.s_hat - 3.0) <= 0.5
+
+
+def full_matrix_pair_counts(points, weights, ref_idx, ref_w, edges, uniform):
+    """Reference: one distance matrix over every reference pair, all of it histogrammed."""
+    sq = np.sum(points * points, axis=1)
+    d2 = sq[ref_idx][:, None] + sq[None, :] - 2.0 * (points[ref_idx] @ points.T)
+    np.maximum(d2, 0.0, out=d2)
+    d2[np.arange(len(ref_idx)), ref_idx] = np.inf
+    wprod = None if uniform else ref_w[:, None] * weights[None, :]
+    return np.cumsum(np.histogram(d2, bins=edges * edges, weights=wprod)[0])
+
+
+class TestPairCounts:
+    @staticmethod
+    def duplicated_atoms():
+        # 60 atoms twice over; their squared distances round to either side of 0
+        pts = gen_uniform(2, 400, seed=3).points
+        pts = np.concatenate([pts, pts[:60]])
+        w = 1.0 + 0.5 * np.sin(np.arange(len(pts)))
+        return pts, w / w.sum()
+
+    def test_duplicates_round_below_zero(self):
+        pts, _ = self.duplicated_atoms()
+        d2 = np.concatenate([d2 for _, _, d2 in _sq_distance_blocks(pts, np.arange(len(pts)))])
+        assert np.min(d2[np.arange(60), np.arange(400, 460)]) < 0.0
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    @pytest.mark.parametrize("thinned", [False, True])
+    def test_counts_match_full_matrix_histogram(self, uniform, thinned):
+        pts, w = self.duplicated_atoms()
+        if thinned:
+            ref_idx = np.sort(np.random.default_rng(1).choice(len(pts), size=300, replace=True, p=w))
+            ref_w = np.full(300, 1.0 / 300)
+        else:
+            ref_idx, ref_w = np.arange(len(pts)), w
+        edges = np.concatenate([[0.0], np.geomspace(0.05, 0.6, 12)])
+        got = _pair_counts(pts, w, ref_idx, ref_w, edges, uniform)
+        want = full_matrix_pair_counts(pts, w, ref_idx, ref_w, edges, uniform)
+        assert want[0] > 0  # the coincident pairs land in the first bin
+        if uniform:
+            assert np.array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_pairs_on_edges(self):
+        # squared distances 1, 4 and 9 fall exactly on the squared edges
+        pts = np.zeros((3, 8))
+        pts[1, 0], pts[2, 0] = 1.0, 3.0
+        ref_idx, w = np.arange(3), np.full(3, 1.0 / 3)
+        edges = np.array([0.0, 1.0, 2.0, 3.0])
+        got = _pair_counts(pts, w, ref_idx, w, edges, True)
+        assert np.array_equal(got, [0, 2, 6])
+        assert np.array_equal(got, full_matrix_pair_counts(pts, w, ref_idx, w, edges, True))
+
+    @pytest.mark.parametrize("block", [1000, 4_000_000])
+    def test_block_size_is_invisible(self, block, monkeypatch):
+        mu0 = gen_subsphere(2, 1, 5_000, seed=10)
+        w = 1.0 + 0.5 * np.sin(np.arange(5_000))
+        fixtures = [gen_uniform(2, 310, seed=11), mu0, DiscreteMeasure(mu0.points, w / w.sum())]
+        want = [correlation_dimension(mu, seed=4).s_hat for mu in fixtures]
+        # 1000 gives 3-row blocks with a ragged last block at 310 atoms, one row at 5000
+        monkeypatch.setattr(dimension_lab, "_DISTANCE_BLOCK", block)
+        got = [correlation_dimension(mu, seed=4).s_hat for mu in fixtures]
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_column_tiles_are_invisible(self, monkeypatch):
+        mu = gen_uniform(2, 3_000, seed=12)
+        want = correlation_dimension(mu, seed=4)
+        e_want = s_energy(mu, 3.0)
+        monkeypatch.setattr(dimension_lab, "_DISTANCE_TILE", 700)  # five tiles of 600 atoms
+        got = correlation_dimension(mu, seed=4)
+        assert got.c_values == want.c_values and got.s_hat == want.s_hat
+        assert s_energy(mu, 3.0) == pytest.approx(e_want, rel=1e-12)
+
+    def test_memory_stays_cache_sized(self):
+        tracemalloc.start()
+        try:
+            correlation_dimension(gen_uniform(2, 20_000, 21), seed=9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestSEnergy:
