@@ -15,7 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["scan", "dimension"])
+@pytest.mark.parametrize("workload", ["scan", "dimension", "verify"])
 def test_workload_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1", "--seconds", "1"],

@@ -1,0 +1,79 @@
+import numpy as np
+import pytest
+
+from quatsphere import verification
+from quatsphere.spectral import psi
+from quatsphere.verification import _first_spike
+
+
+def first_spike_loop(mag, floor):
+    """The per-entry scan check_psi made before the sliding-window median: the oracle."""
+    for i in range(len(mag)):
+        lo, hi = max(0, i - 8), min(len(mag), i + 9)
+        med = float(np.median(mag[lo:hi]))
+        if mag[i] > 10.0 * max(med, floor):
+            return i
+    return None
+
+
+class TestFirstSpike:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(17, 900))
+        mag = rng.lognormal(0.0, 0.5, size)
+        # spikes at the head, in the interior and at the tail, each present or not
+        for where in (rng.integers(0, 8), rng.integers(8, size - 8), rng.integers(size - 8, size)):
+            if rng.random() < 0.5:
+                mag[where] *= rng.uniform(5.0, 40.0)
+        floor = float(rng.choice([0.0, 1e-3 * mag.max(), 2.0]))
+        assert _first_spike(mag, floor) == first_spike_loop(mag, floor)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_loop_at_the_threshold(self, seed):
+        # a spike at, or 1e-9 above or below, ten times its window's median: any other window flips it
+        rng = np.random.default_rng(100 + seed)
+        size = int(rng.integers(17, 900))
+        mag = rng.lognormal(0.0, 0.5, size)
+        where = int(rng.choice([rng.integers(0, 8), rng.integers(8, size - 8), rng.integers(size - 8, size)]))
+        mag[where] = 1e6
+        med = np.median(mag[max(0, where - 8) : where + 9])
+        mag[where] = 10.0 * med * (1.0 + rng.choice([-1e-9, 0.0, 1e-9]))
+        assert _first_spike(mag, 0.0) == first_spike_loop(mag, 0.0)
+
+    @pytest.mark.parametrize("where", [0, 3, 7, 8, 400, 790, 791, 797])
+    def test_single_spike_found_everywhere(self, where):
+        mag = np.ones(798)
+        mag[where] = 50.0
+        assert _first_spike(mag, 1e-3) == first_spike_loop(mag, 1e-3) == where
+
+    @pytest.mark.parametrize("bump, detail", [
+        (0.6, "order-2 difference spikes at v=0.599; order-3 difference spikes at v=0.599"),
+        (0.3015, "order-2 difference spikes at v=0.300; order-3 difference spikes at v=0.300"),
+        (0.6985, "order-2 difference spikes at v=0.698; order-3 difference spikes at v=0.697"),
+    ])
+    def test_check_psi_reports_first_spike(self, monkeypatch, bump, detail):
+        # psi raised by 1e-4 at the one grid point v/u = bump; the details are the per-entry scan's
+        def bumped(u, v, eps):
+            return psi(u, v, eps) + 1e-4 * (np.abs(np.asarray(v) / np.asarray(u) - bump) < 2e-4)
+
+        monkeypatch.setattr(verification, "psi", bumped)
+        result = verification.check_psi(0.1)
+        assert not result.passed
+        assert result.detail == detail
+
+
+class TestSharedSamples:
+    @pytest.mark.parametrize("check", [verification.check_orthogonality, verification.check_idempotency])
+    def test_one_sample_draw_per_check(self, bank8, monkeypatch, check):
+        counts = []
+        draw = verification.sphere_samples
+
+        def counting(n, count, seed):
+            counts.append(count)
+            return draw(n, count, seed)
+
+        monkeypatch.setattr(verification, "sphere_samples", counting)
+        result = check(bank8, 2, 8, 3000, 7, pairs=6)
+        assert result.passed, result.detail
+        assert sorted(counts) == [2] * 6 + [3000]

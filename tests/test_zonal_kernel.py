@@ -246,9 +246,9 @@ class TestBlockedSamplePath:
     @pytest.mark.parametrize("pair", [((3, 1), (3, 1)), ((2, 1), (4, 2))])
     def test_product_integral_matches_pointwise_values(self, bank8, pair):
         ck1, ck2 = bank8[pair[0]], bank8[pair[1]]
-        est, stderr, _ = _product_integral(ck1, ck2, 20_000, 5, _TAG_PRODUCT)
+        ys = sphere_samples(2, 20_000, [5, _TAG_PRODUCT])
+        est, stderr, _ = _product_integral(ck1, ck2, ys, 5, _TAG_PRODUCT)
         (h1, m1), (h2, m2) = pair
-        ys = sphere_samples(2, 20_000, [5, _TAG_PRODUCT, h1, m1, h2, m2])
         x, z = sphere_samples(2, 2, [5, _TAG_PRODUCT + 1, h1, h2, m1, m2])
         prod = ck1.values(x, ys) * ck2.values(z, ys)
         assert est == pytest.approx(np.mean(prod), rel=1e-12)
@@ -256,10 +256,11 @@ class TestBlockedSamplePath:
 
     def test_product_integral_refuses_unusable_kernels(self, bank8):
         bad = CalibratedKernel(KernelIndex(2, 1, 2), c=1.0, spread=0.5, n_samples=1, seed=0)
+        ys = sphere_samples(2, 20_000, [5, _TAG_PRODUCT])
         with pytest.raises(UnusableKernelError):
-            _product_integral(bad, bank8[(2, 1)], 20_000, 5, _TAG_PRODUCT)
+            _product_integral(bad, bank8[(2, 1)], ys, 5, _TAG_PRODUCT)
         with pytest.raises(UnusableKernelError):
-            _product_integral(bank8[(2, 1)], bad, 20_000, 5, _TAG_PRODUCT)
+            _product_integral(bank8[(2, 1)], bad, ys, 5, _TAG_PRODUCT)
 
 
 def test_section_matches_pointwise(bank8):
