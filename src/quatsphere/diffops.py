@@ -12,13 +12,14 @@ points of shape (..., 4n) to values of shape (...).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .quat_core import AXES, Array, SpherePoint, flow_points, geodesic_points, sphere_samples, tangent_frame
+from .quat_core import (
+    I, J, K, Array, SpherePoint, flow_points, geodesic_points, left_mul_points, sphere_samples, tangent_frame,
+)
 from .zonal_kernel import CalibratedKernel
 
 PointFunction = Callable[[Array], Array]
@@ -59,56 +60,43 @@ def t_axis(f: PointFunction, x: SpherePoint, axis: str, cfg: FDConfig = FDConfig
     return _extrapolate(estimates[0], estimates[-1], cfg)
 
 
-def _second_along_flow(f: PointFunction, x_vec: Array, axis: str, tau: float) -> float:
-    pts = np.stack(
-        [
-            flow_points(x_vec, axis, tau),
-            x_vec,
-            flow_points(x_vec, axis, -tau),
-        ]
-    )
-    v = f(pts)
-    return (float(v[0]) - 2.0 * float(v[1]) + float(v[2])) / (tau * tau)
+def _great_circle_sum(f: PointFunction, x: SpherePoint | Array, directions: Callable[[Array], Array], cfg: FDConfig):
+    """Minus the summed second differences of f along t -> cos(t) y + sin(t) e.
+
+    The sum runs over the unit tangents e in directions(pts), shape (P, C, 4n),
+    at every point y of pts; each difference is Richardson-extrapolated.  The
+    centres and every stencil point go to f as one (P, S, 4n) array.  A
+    SpherePoint gives a float, a (P, 4n) array of points a (P,) array.
+    """
+    pts = np.atleast_2d(x.vec if isinstance(x, SpherePoint) else x)
+    taus = np.array(_steps(cfg))
+    # curves[p, c, t, 0 or 1] is the point at +tau_t or -tau_t along direction c from pts[p]
+    dirs = directions(pts)[:, :, None, None, :]
+    curves = geodesic_points(pts[:, None, None, None, :], dirs, np.stack([taus, -taus], axis=1))
+    vals = f(np.concatenate([pts[:, None, :], curves.reshape(len(pts), -1, pts.shape[-1])], axis=1))
+    side = vals[:, 1:].reshape(curves.shape[:-1])
+    second = (side[..., 0] - 2.0 * vals[:, 0, None, None] + side[..., 1]) / (taus * taus)
+    total = -np.sum(_extrapolate(second[..., 0], second[..., -1], cfg), axis=1)
+    return float(total[0]) if isinstance(x, SpherePoint) else total
 
 
-def gamma_apply(f: PointFunction, x: SpherePoint, cfg: FDConfig = FDConfig()) -> float:
-    """Sublaplacian -(T_i^2 + T_j^2 + T_k^2) applied to f at x."""
-    total = 0.0
-    for axis in AXES:
-        estimates = [_second_along_flow(f, x.vec, axis, tau) for tau in _steps(cfg)]
-        total += _extrapolate(estimates[0], estimates[-1], cfg)
-    return -total
+def gamma_apply(f: PointFunction, x: SpherePoint | Array, cfg: FDConfig = FDConfig()):
+    """Sublaplacian -(T_i^2 + T_j^2 + T_k^2) applied to f at x (a point or a (P, 4n) array).
+
+    For a unit imaginary u, exp(-u t) x = cos(t) x - sin(t) u x: each flow is
+    the great circle through x along -u x.
+    """
+    return _great_circle_sum(f, x, lambda pts: np.stack([left_mul_points(pts, -u) for u in (I, J, K)], axis=1), cfg)
 
 
-def laplace_beltrami_apply(f: PointFunction, y: SpherePoint, cfg: FDConfig = FDConfig()) -> float:
-    """Laplace-Beltrami operator (positive spectrum convention) at y.
+def laplace_beltrami_apply(f: PointFunction, y: SpherePoint | Array, cfg: FDConfig = FDConfig()):
+    """Laplace-Beltrami operator (positive spectrum convention) at y (a point or a (P, 4n) array).
 
     Sums second central differences of t -> f(cos(t) y + sin(t) e) over an
     orthonormal tangent frame {e} and negates, so eigenfunctions of degree h
     return +h(h + 4n - 2) times themselves.
     """
-    frame = tangent_frame(y)
-    taus = _steps(cfg)
-    # batch all stencil points into a single evaluation of f
-    stencil = []
-    for e in frame:
-        for tau in taus:
-            stencil.append(geodesic_points(y.vec, e, np.array([tau, -tau])))
-    pts = np.concatenate(stencil, axis=0)
-    vals = f(pts)
-    f0 = float(f(y.vec[None, :])[0])
-
-    total = 0.0
-    per_dir = 2 * len(taus)
-    for d in range(len(frame)):
-        base = d * per_dir
-        estimates = []
-        for si, tau in enumerate(taus):
-            fwd = float(vals[base + 2 * si])
-            bwd = float(vals[base + 2 * si + 1])
-            estimates.append((fwd - 2.0 * f0 + bwd) / (tau * tau))
-        total += _extrapolate(estimates[0], estimates[-1], cfg)
-    return -total
+    return _great_circle_sum(f, y, tangent_frame, cfg)
 
 
 @dataclass(frozen=True)
@@ -162,15 +150,8 @@ def eigencheck(
         raise DegenerateProbesError(f"no probe with |f| above 0.1*max for {idx}")
     chosen = eligible[:probes]
 
-    delta_est, gamma_est = [], []
-    for i in chosen:
-        x = SpherePoint(pool[i])
-        fx = float(fvals[i])
-        delta_est.append(laplace_beltrami_apply(f, x, cfg) / fx)
-        gamma_est.append(gamma_apply(f, x, cfg) / fx)
-
-    lam_d = float(np.median(delta_est))
-    lam_g = float(np.median(gamma_est))
+    lam_d = float(np.median(laplace_beltrami_apply(f, pool[chosen], cfg) / fvals[chosen]))
+    lam_g = float(np.median(gamma_apply(f, pool[chosen], cfg) / fvals[chosen]))
     return EigencheckReport(
         h=idx.h,
         m=idx.m,
@@ -185,16 +166,18 @@ def eigencheck(
     )
 
 
-def l1_l2_identity(h: int, m: int, n: int) -> tuple[float, float]:
+def l1_l2_identity(h, m, n: int) -> tuple:
     """Eigenvalues of sqrt(Delta + (2n-1)^2 Id) - (2n-1) Id and sqrt(Id + Gamma) - Id.
 
     Both radicands are perfect squares, (h + 2n - 1)^2 and (h - 2m + 1)^2,
-    so the returned pair equals (h, h - 2m) exactly.
+    so the returned pair equals (h, h - 2m) exactly.  h and m may be integer
+    arrays of one shape; np.sqrt rounds like math.sqrt.
     """
-    if not 2 * m <= h:
+    h, m = np.asarray(h), np.asarray(m)
+    if np.any(2 * m > h):
         raise ValueError("need 2m <= h")
     lam_delta = h * (h + 4 * n - 2)
     lam_gamma = (h - 2 * m) * (h - 2 * m + 2)
-    first = math.sqrt(lam_delta + (2 * n - 1) ** 2) - (2 * n - 1)
-    second = math.sqrt(1.0 + lam_gamma) - 1.0
+    first = np.sqrt(lam_delta + (2 * n - 1) ** 2) - (2 * n - 1)
+    second = np.sqrt(1.0 + lam_gamma) - 1.0
     return first, second

@@ -233,21 +233,20 @@ def flow_points(points: Array, axis: str, t: float) -> Array:
     return moved
 
 
-def tangent_frame(y: SpherePoint) -> Array:
+def tangent_frame(y: SpherePoint | Array) -> Array:
     """Orthonormal frame of T_y S^{4n-1}, shape (4n-1, 4n).
 
-    The first three rows are iy, jy, ky (already orthonormal and orthogonal
-    to y); the remaining 4n-4 rows complete the frame via QR.
+    For a (P, 4n) array of points the frames come from one stacked QR, shape
+    (P, 4n-1, 4n).  The first three rows are iy, jy, ky (already orthonormal
+    and orthogonal to y); the remaining 4n-4 rows complete the frame via QR.
     """
-    v = y.vec
-    dim = v.size
-    axis_vecs = [_apply_axis_flat(v, ax) for ax in AXES]
-    seed_cols = np.column_stack([v, *axis_vecs])
-    q, _ = np.linalg.qr(np.concatenate([seed_cols, np.eye(dim)], axis=1))
-    frame = np.empty((dim - 1, dim))
-    frame[0:3] = axis_vecs
-    frame[3:] = q[:, 4:dim].T
-    return frame
+    pts = np.atleast_2d(y.vec if isinstance(y, SpherePoint) else y)
+    count, dim = pts.shape
+    axis_vecs = np.stack([_apply_axis_flat(pts, ax) for ax in AXES], axis=1)
+    seed_cols = np.concatenate([pts[:, :, None], axis_vecs.transpose(0, 2, 1)], axis=2)
+    q, _ = np.linalg.qr(np.concatenate([seed_cols, np.broadcast_to(np.eye(dim), (count, dim, dim))], axis=2))
+    frame = np.concatenate([axis_vecs, q[:, :, 4:dim].transpose(0, 2, 1)], axis=1)
+    return frame[0] if isinstance(y, SpherePoint) else frame
 
 
 def geodesic(y: SpherePoint, e: Array, t: float, tol: float = 1e-8) -> SpherePoint:
@@ -258,10 +257,13 @@ def geodesic(y: SpherePoint, e: Array, t: float, tol: float = 1e-8) -> SpherePoi
     return SpherePoint(math.cos(t) * y.vec + math.sin(t) * e)
 
 
-def geodesic_points(y_vec: Array, e: Array, ts: Array) -> Array:
-    """Points cos(t)*y + sin(t)*e for an array of parameters t; shape (len(ts), 4n)."""
-    ts = np.asarray(ts, dtype=np.float64)
-    return np.cos(ts)[:, None] * y_vec[None, :] + np.sin(ts)[:, None] * e[None, :]
+def geodesic_points(y: Array, e: Array, ts: Array) -> Array:
+    """Points cos(t)*y + sin(t)*e, broadcasting ts against the leading axes of y and e.
+
+    For one point y and direction e of shape (4n,) the result has shape (len(ts), 4n).
+    """
+    ts = np.asarray(ts, dtype=np.float64)[..., None]
+    return np.cos(ts) * y + np.sin(ts) * e
 
 
 # ---------------------------------------------------------------------------

@@ -40,12 +40,13 @@ class CheckResult:
 
 
 def check_l1_l2(n_max: int = 5, h_max: int = 100) -> CheckResult:
+    grid = np.arange(h_max + 1)
+    h, m = np.meshgrid(grid, grid[: h_max // 2 + 1], indexing="ij")
+    h, m = h[2 * m <= h], m[2 * m <= h]
     worst = 0.0
     for n in range(2, n_max + 1):
-        for h in range(h_max + 1):
-            for m in range(h // 2 + 1):
-                first, second = l1_l2_identity(h, m, n)
-                worst = max(worst, abs(first - h), abs(second - (h - 2 * m)))
+        first, second = l1_l2_identity(h, m, n)
+        worst = max(worst, np.max(np.abs(first - h)), np.max(np.abs(second - (h - 2 * m))))
     return CheckResult(
         name="l1_l2_identity",
         passed=worst <= 1e-12,
@@ -197,6 +198,11 @@ def check_idempotency(bank, n: int, h_max: int, n_samples: int, seed: int, pairs
             continue
         if abs(est - target) > 4.0 * stderr + 1e-9 * max(abs(target), 1.0):
             failures.append(f"({idx.h},{idx.m}): |{est:.4e} - {target:.4e}| vs 4se {4*stderr:.3e}")
+    for idx in indices:
+        ck = bank[(idx.h, idx.m)]
+        # a usable kernel's diagonal is its exact dimension, whether or not a product drew it
+        if ck.usable and abs(ck.diagonal() - idx.dimension) > 1e-12 * idx.dimension:
+            failures.append(f"({idx.h},{idx.m}): diagonal {ck.diagonal():.6g} vs dimension {idx.dimension}")
     return CheckResult(
         name="idempotency",
         passed=not failures,

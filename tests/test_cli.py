@@ -19,6 +19,22 @@ from quatsphere.zonal_kernel import index_range, raw_kernel_values
 FAST = ["--n", "2", "--h-max", "3", "--mc-samples", "20000", "--seed", "5"]
 
 
+def passing_verify_summary(n: int) -> dict:
+    """The whole summary `verify --n <n> --h-max 6 --seed 3` writes, every detail string included."""
+    return {
+        "all_passed": True,
+        "checks": [
+            {"detail": "max deviation 0.000e+00 over h<=100, n<=5", "name": "l1_l2_identity", "passed": True},
+            {"detail": "cutoff value/support/homogeneity/smoothness ok", "name": "psi_properties", "passed": True},
+            {"detail": "converges to 1/2 inside the cutoff plateau", "name": "cone_gap_convergence", "passed": True},
+            {"detail": "all eigenvalues within tolerance", "name": "eigencheck", "passed": True},
+            {"detail": "10 distinct-index products vanish within 4 stderr", "name": "orthogonality", "passed": True},
+            {"detail": "10 equal-index products reproduce K within 4 stderr", "name": "idempotency", "passed": True},
+        ],
+        "params": {"epsilon": 0.1, "fd_step": 0.01, "h_max": 6, "mc_samples": 200000, "n": n, "seed": 3},
+    }
+
+
 class TestRunConfig:
     def test_defaults_valid(self):
         cfg = RunConfig()
@@ -121,6 +137,14 @@ class TestCommands:
             "orthogonality",
             "idempotency",
         }
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_verify_summary_is_pinned(self, tmp_path, n):
+        # byte for byte: any change to the passing output of verify fails here
+        out = tmp_path / "v.json"
+        args = ["--n", str(n), "--h-max", "6", "--seed", "3", "--cache", str(tmp_path / "c.json")]
+        assert main(["verify", *args, "--out", str(out)]) == 0
+        assert out.read_text() == json.dumps(passing_verify_summary(n), sort_keys=True, indent=2) + "\n"
 
     def test_corrupted_cache_fails_idempotency(self, tmp_path, capsys):
         cache = tmp_path / "cache.json"

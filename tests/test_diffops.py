@@ -4,6 +4,7 @@ import pytest
 from quatsphere import (
     FDConfig,
     SpherePoint,
+    calibrate_bank,
     eigencheck,
     gamma_apply,
     l1_l2_identity,
@@ -12,10 +13,64 @@ from quatsphere import (
     t_axis,
 )
 from quatsphere.diffops import DegenerateProbesError
+from quatsphere.quat_core import _apply_axis_flat, flow_points
+from quatsphere.zonal_kernel import index_range
 
 
 def const_fn(value=2.5):
     return lambda pts: np.full(pts.shape[:-1], value)
+
+
+# The per-probe eigencheck the batched stencils replaced, with its operators and
+# its per-point QR frame: the oracle of TestBatchedStencils.
+def per_point_frame(v):
+    dim = v.size
+    axis_vecs = [_apply_axis_flat(v, ax) for ax in "ijk"]
+    q, _ = np.linalg.qr(np.concatenate([np.column_stack([v, *axis_vecs]), np.eye(dim)], axis=1))
+    return np.concatenate([axis_vecs, q[:, 4:dim].T])
+
+
+def per_probe_extrapolate(estimates, cfg):
+    return (4.0 * estimates[-1] - estimates[0]) / 3.0 if cfg.richardson else estimates[0]
+
+
+def per_probe_steps(cfg):
+    return [cfg.step, cfg.step / 2.0] if cfg.richardson else [cfg.step]
+
+
+def per_probe_gamma(f, v, cfg):
+    total = 0.0
+    for axis in "ijk":
+        estimates = []
+        for tau in per_probe_steps(cfg):
+            vals = f(np.stack([flow_points(v, axis, tau), v, flow_points(v, axis, -tau)]))
+            estimates.append((float(vals[0]) - 2.0 * float(vals[1]) + float(vals[2])) / (tau * tau))
+        total += per_probe_extrapolate(estimates, cfg)
+    return -total
+
+
+def per_probe_laplace_beltrami(f, v, cfg):
+    f0 = float(f(v[None, :])[0])
+    total = 0.0
+    for e in per_point_frame(v):
+        estimates = []
+        for tau in per_probe_steps(cfg):
+            fwd, bwd = f(np.stack([np.cos(t) * v + np.sin(t) * e for t in (tau, -tau)]))
+            estimates.append((float(fwd) - 2.0 * f0 + float(bwd)) / (tau * tau))
+        total += per_probe_extrapolate(estimates, cfg)
+    return -total
+
+
+def per_probe_eigencheck(ck, x0, probes, cfg, seed):
+    """(lambda_delta, lambda_gamma) medians over the probes, one probe at a time."""
+    idx = ck.index
+    f = ck.section(x0)
+    pool = sphere_samples(idx.n, 128, [seed, idx.h, idx.m, 21])
+    fvals = f(pool)
+    chosen = np.flatnonzero(np.abs(fvals) > 0.1 * float(np.max(np.abs(fvals))))[:probes]
+    delta = [per_probe_laplace_beltrami(f, SpherePoint(pool[i]).vec, cfg) / float(fvals[i]) for i in chosen]
+    gamma = [per_probe_gamma(f, SpherePoint(pool[i]).vec, cfg) / float(fvals[i]) for i in chosen]
+    return float(np.median(delta)), float(np.median(gamma))
 
 
 def test_fd_config_validation():
@@ -139,6 +194,64 @@ class TestEigencheck:
             eigencheck(Starved(), x0, probes=4, seed=5)
 
 
+@pytest.fixture(scope="module")
+def bank_n3():
+    return calibrate_bank(3, 6, 10_000, seed=1)
+
+
+class TestBatchedStencils:
+    @pytest.mark.parametrize("richardson", [True, False])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_per_probe_oracle(self, bank8, bank_n3, n, richardson):
+        bank = bank8 if n == 2 else bank_n3
+        x0 = SpherePoint(sphere_samples(n, 1, [3, 61])[0])
+        cfg = FDConfig(step=1e-2, richardson=richardson)
+        for idx in index_range(n, 6):
+            rep = eigencheck(bank[(idx.h, idx.m)], x0, probes=8, cfg=cfg, seed=3)
+            lam_d, lam_g = per_probe_eigencheck(bank[(idx.h, idx.m)], x0, 8, cfg, 3)
+            # relative, against 1 at the zero eigenvalues
+            assert abs(rep.lambda_delta_est - lam_d) <= 1e-9 * max(abs(lam_d), 1.0), idx
+            assert abs(rep.lambda_gamma_est - lam_g) <= 1e-9 * max(abs(lam_g), 1.0), idx
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_section_evaluated_three_times_per_index(self, bank8, bank_n3, n):
+        bank = bank8 if n == 2 else bank_n3
+        x0 = SpherePoint(sphere_samples(n, 1, [3, 61])[0])
+        for idx in index_range(n, 6):
+            ck, calls = bank[(idx.h, idx.m)], []
+
+            class Counted:
+                index, c = ck.index, ck.c
+
+                def section(self, pt):
+                    f = ck.section(pt)
+                    return lambda pts: calls.append(pts.shape) or f(pts)
+
+            rep = eigencheck(Counted(), x0, probes=8, seed=3)
+            # the pool, then one stencil per operator
+            assert len(calls) <= 3, (idx, calls)
+            assert calls[0] == (128, 4 * n) and rep.probes_used == 8
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("op", [gamma_apply, laplace_beltrami_apply])
+    def test_array_and_point_forms_agree(self, n, op):
+        # f is evaluated entry by entry, so only the stencil arithmetic can differ
+        f = lambda pts: pts[..., 0] ** 3 * pts[..., 5] - 2.0 * pts[..., 3] * pts[..., 6] ** 2 + pts[..., 1]
+        points = [SpherePoint(p) for p in sphere_samples(n, 6, [4, 63])]
+        for cfg in (FDConfig(), FDConfig(step=3e-2, richardson=False)):
+            batched = op(f, np.stack([p.vec for p in points]), cfg)
+            single = [op(f, p, cfg) for p in points]
+            assert batched.shape == (6,) and all(isinstance(v, float) for v in single)
+            assert np.max(np.abs(batched - single)) <= 1e-12 * max(1.0, np.max(np.abs(single)))
+
+    @pytest.mark.parametrize("op", [gamma_apply, laplace_beltrami_apply])
+    def test_point_form_is_the_one_row_case(self, bank8, op):
+        f = bank8[(5, 1)].section(SpherePoint(sphere_samples(2, 1, [4, 62])[0]))
+        for p in sphere_samples(2, 4, [4, 64]):
+            point = SpherePoint(p)
+            assert op(f, point) == op(f, point.vec[None, :])[0]
+
+
 class TestL1L2:
     def test_example_values(self):
         assert l1_l2_identity(5, 1, 2) == (5.0, 3.0)
@@ -153,6 +266,16 @@ class TestL1L2:
                     worst = max(worst, abs(first - h), abs(second - (h - 2 * m)))
         assert worst <= 1e-12
 
+    def test_arrays_match_scalars(self):
+        h = np.array([0, 5, 7, 100, 100])
+        m = np.array([0, 1, 3, 0, 50])
+        first, second = l1_l2_identity(h, m, 4)
+        for i in range(len(h)):
+            assert (first[i], second[i]) == l1_l2_identity(int(h[i]), int(m[i]), 4)
+        assert np.array_equal(first, h) and np.array_equal(second, h - 2 * m)
+
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
             l1_l2_identity(1, 1, 2)
+        with pytest.raises(ValueError):
+            l1_l2_identity(np.array([2, 1]), np.array([1, 1]), 2)

@@ -153,6 +153,24 @@ def test_tangent_frame(n):
     assert np.max(np.abs(p_frame - p_oracle)) <= 1e-10
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_tangent_frame_batched(n):
+    from quatsphere.quat_core import _apply_axis_flat
+
+    pts = sphere_samples(n, 7, [18, n])
+    frames = tangent_frame(pts)
+    assert frames.shape == (7, 4 * n - 1, 4 * n)
+    gram = frames @ frames.transpose(0, 2, 1)
+    assert np.max(np.abs(gram - np.eye(4 * n - 1))) <= 1e-14
+    assert np.max(np.abs(np.einsum("pij,pj->pi", frames, pts))) <= 1e-14
+    for p, frame in zip(pts, frames):
+        assert np.array_equal(frame[:3], [_apply_axis_flat(p, ax) for ax in "ijk"])
+        # the per-point QR frame the batched one replaced
+        q, _ = np.linalg.qr(np.concatenate([np.column_stack([p, *frame[:3]]), np.eye(4 * n)], axis=1))
+        assert np.max(np.abs(frame[3:] - q[:, 4:].T)) <= 1e-14
+        assert np.array_equal(tangent_frame(SpherePoint(p)), tangent_frame(SpherePoint(p).vec[None, :])[0])
+
+
 def test_geodesic():
     y = SpherePoint(sphere_samples(2, 1, 23)[0])
     e = tangent_frame(y)[4]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -77,3 +79,31 @@ class TestSharedSamples:
         result = check(bank8, 2, 8, 3000, 7, pairs=6)
         assert result.passed, result.detail
         assert sorted(counts) == [2] * 6 + [3000]
+
+
+class TestIdempotencyDiagonals:
+    @staticmethod
+    def drawn_index(seed):
+        # the one index a single-product check draws
+        indices = verification.index_range(2, 5)
+        idx = indices[int(verification.seeded_rng(seed, verification._TAG_PAIRS + 1).integers(len(indices)))]
+        return (idx.h, idx.m)
+
+    def test_scaled_constant_fails_without_being_drawn(self, bank8):
+        drawn = self.drawn_index(7)
+        key = (3, 1) if drawn != (3, 1) else (4, 1)
+        bank = dict(bank8)
+        bank[key] = dataclasses.replace(bank8[key], c=1.5 * bank8[key].c)
+        result = verification.check_idempotency(bank, 2, 8, 3000, 7, pairs=1)
+        assert not result.passed
+        dim = bank8[key].index.dimension
+        assert result.detail == f"({key[0]},{key[1]}): diagonal {1.5 * bank8[key].diagonal():.6g} vs dimension {dim}"
+
+    def test_unusable_kernel_keeps_its_entry(self, bank8):
+        drawn = self.drawn_index(7)
+        bank = dict(bank8)
+        bank[drawn] = dataclasses.replace(bank8[drawn], spread=0.5)
+        result = verification.check_idempotency(bank, 2, 8, 3000, 7, pairs=1)
+        with pytest.raises(verification.UnusableKernelError) as exc:
+            bank[drawn].require_usable()
+        assert result.detail == str(exc.value)
