@@ -6,6 +6,11 @@ their three-term recurrences, which stay well conditioned for the degrees
 used here (m up to ~30).  Each recurrence is written once, as a ladder
 generator yielding degree after degree: the pointwise evaluators take one
 rung, and the kernel-sum engine in spectral walks every rung it needs.
+
+A ladder writes each rung in place into one of three rotating buffers, so
+a yielded rung is valid only until the ladder advances.  The engine passes
+block-sized buffers it reuses for every block; without them a ladder
+allocates its own, so each pointwise evaluation returns a fresh array.
 """
 
 from __future__ import annotations
@@ -33,15 +38,22 @@ class JacobiParams:
             raise ValueError(f"degree must be non-negative, got {self.degree}")
 
 
-def jacobi_ladder(alpha: float, beta: float, x):
+def jacobi_ladder(alpha: float, beta: float, x, out=None):
     """Yield P_0, P_1, P_2, ... of P_m^{(alpha,beta)}(x) by the three-term recurrence.
 
-    x is used as given (no domain check); only two rungs are alive at a time.
+    x is used as given (no domain check).  Every rung is written in place
+    into one of three rotating arrays of x's shape: `out` (three float64
+    arrays) or, if None, three the ladder allocates.  A yielded rung is
+    valid only until the ladder advances.
     """
-    p_prev = np.ones_like(x)
+    p_prev, p, nxt = out if out is not None else [np.empty(np.shape(x)) for _ in range(3)]
+    p_prev.fill(1.0)
     yield p_prev
     apb = alpha + beta
-    p = 0.5 * (alpha - beta + (apb + 2.0) * x)
+    # 0.5 * (alpha - beta + (apb + 2.0) * x)
+    np.multiply(x, apb + 2.0, out=p)
+    np.add(p, alpha - beta, out=p)
+    np.multiply(p, 0.5, out=p)
     yield p
     k = 2
     while True:
@@ -49,22 +61,38 @@ def jacobi_ladder(alpha: float, beta: float, x):
         c2 = (2.0 * k + apb - 1.0) * (alpha * alpha - beta * beta)
         c3 = (2.0 * k + apb - 2.0) * (2.0 * k + apb - 1.0) * (2.0 * k + apb)
         c4 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * (2.0 * k + apb)
-        p, p_prev = ((c2 + c3 * x) * p - c4 * p_prev) / c1, p
+        # ((c2 + c3 * x) * p - c4 * p_prev) / c1
+        np.multiply(x, c3, out=nxt)
+        np.add(nxt, c2, out=nxt)
+        np.multiply(nxt, p, out=nxt)
+        np.multiply(p_prev, c4, out=p_prev)
+        np.subtract(nxt, p_prev, out=nxt)
+        np.divide(nxt, c1, out=nxt)
+        p_prev, p, nxt = p, nxt, p_prev
         yield p
         k += 1
 
 
-def cheb_ladder(a, s):
+def cheb_ladder(a, s, out=None):
     """Yield W_0, W_1, W_2, ... of W_k(a, s) = |q|^k U_k(a/|q|) (see cheb_u_scaled).
 
-    a and s must share one shape; only two rungs are alive at a time.
+    a and s must share one shape.  Every rung is written in place into one of
+    three rotating arrays of that shape: `out` (three float64 arrays) or, if
+    None, three the ladder allocates.  A yielded rung is valid only until the
+    ladder advances.
     """
-    w_prev = np.ones_like(a)
+    w_prev, w, nxt = out if out is not None else [np.empty(np.shape(a)) for _ in range(3)]
+    w_prev.fill(1.0)
     yield w_prev
-    w = 2.0 * a
+    np.multiply(a, 2.0, out=w)
     yield w
     while True:
-        w, w_prev = 2.0 * a * w - s * w_prev, w
+        # 2.0 * a * w - s * w_prev
+        np.multiply(a, 2.0, out=nxt)
+        np.multiply(nxt, w, out=nxt)
+        np.multiply(s, w_prev, out=w_prev)
+        np.subtract(nxt, w_prev, out=nxt)
+        w_prev, w, nxt = w, nxt, w_prev
         yield w
 
 

@@ -319,7 +319,10 @@ def sample_sphere(n: int, count: int, seed: int) -> list[SpherePoint]:
 # ---------------------------------------------------------------------------
 
 # Pairs per block in every blocked kernel sum: 32768 float64 elements are
-# 256 KB per temporary, so a block's ladder walk stays in a 2 MB L2 cache.
+# 256 KB per block array.  spectral._projection_matrix holds ten such buffers
+# per call (spectral._ENGINE_BUFFERS) and reuses them for every block and
+# rung: 2.5 MiB in all, about one 2 MB L2 cache.  tracemalloc measured a
+# 2.58 MiB peak for one 384-probe, 25-index call over 5000 atoms.
 _BLOCK_ELEMENTS = 32_768
 
 
@@ -333,16 +336,23 @@ def pair_invariants(x_vec: Array, points: Array) -> tuple[Array, Array]:
     return a, s
 
 
-def pair_invariants_matrix(xs: Array, ys: Array) -> tuple[Array, Array]:
+def pair_invariants_matrix(xs: Array, ys: Array, out=None) -> tuple[Array, Array]:
     """(a, s) matrices of shape (len(xs), len(ys)) between two point arrays.
 
-    The axis rotations go to whichever operand has fewer rows: the axis
-    matrices are antisymmetric, so (R x).y = -x.(R y), and s only needs c^2.
+    `out` is None or three float64 arrays of that shape: a and s are written
+    into the first two, and the third is scratch.  The axis rotations go to
+    whichever operand has fewer rows: the axis matrices are antisymmetric,
+    so (R x).y = -x.(R y), and s only needs c^2.
     """
-    a = xs @ ys.T
-    s = a * a
+    a, s, c = out if out is not None else [np.empty((len(xs), len(ys))) for _ in range(3)]
+    np.matmul(xs, ys.T, out=a)
+    np.multiply(a, a, out=s)
     rotate_xs = len(xs) <= len(ys)
     for ax in AXES:
-        c = _apply_axis_flat(xs, ax) @ ys.T if rotate_xs else xs @ _apply_axis_flat(ys, ax).T
-        s += c * c
+        if rotate_xs:
+            np.matmul(_apply_axis_flat(xs, ax), ys.T, out=c)
+        else:
+            np.matmul(xs, _apply_axis_flat(ys, ax).T, out=c)
+        np.multiply(c, c, out=c)
+        s += c
     return a, s

@@ -17,6 +17,7 @@ flagged everywhere.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -232,19 +233,25 @@ class SpectrumReport:
 
 KernelBank = Mapping[tuple[int, int], CalibratedKernel]
 
+# block buffers per _projection_matrix call: a, s and one scratch (which
+# later holds W_k P_m), 2s - 1, and three rotating rungs per ladder
+_ENGINE_BUFFERS = 10
+
 
 def _projection_matrix(measure: DiscreteMeasure, cks: Sequence[CalibratedKernel], xs: Array) -> Array:
     """Projection values, shape (len(cks), len(xs)), sharing pair invariants.
 
     This is the one blocked kernel-sum path: scans, the multiplier and
-    project_values all run on it.  An atom block holds at most
-    quat_core._BLOCK_ELEMENTS pairs (one atom if xs alone is larger), so the
-    ladder temporaries stay cache-sized.  Per atom block the pair invariants
-    are computed once, the Chebyshev ladder W_0..W_kmax is walked once, and
-    for each ladder rung the fixed-beta Jacobi ladder is walked once, with
-    contributions emitted at every degree some kernel needs.  Only two live
-    arrays per recurrence, which is what makes full-spectrum scans
-    affordable.
+    project_values all run on it.  The points xs are taken in chunks and
+    the atoms in blocks so that a block holds at most
+    quat_core._BLOCK_ELEMENTS pairs, and the ladder arrays stay cache-sized.
+    Per block the pair invariants are computed once, the Chebyshev ladder
+    W_0..W_kmax is walked once, and for each ladder rung the fixed-beta
+    Jacobi ladder is walked once, with contributions emitted at every
+    degree some kernel needs.  Every block
+    array (the invariants, 2s - 1, both ladders' rungs and the W_k P_m
+    product) is a view into one stack of _ENGINE_BUFFERS block-sized
+    buffers allocated per call, so the walk allocates nothing per rung.
     """
     for ck in cks:
         ck.require_usable()
@@ -258,19 +265,31 @@ def _projection_matrix(measure: DiscreteMeasure, cks: Sequence[CalibratedKernel]
     alpha = 2 * measure.n - 3
 
     out = np.zeros((len(cks), xs.shape[0]))
-    block = max(1, quat_core._BLOCK_ELEMENTS // max(1, xs.shape[0]))
-    for lo in range(0, measure.natoms, block):
+    chunk = max(1, min(xs.shape[0], quat_core._BLOCK_ELEMENTS))
+    block = max(1, quat_core._BLOCK_ELEMENTS // chunk)
+    stack = np.empty((_ENGINE_BUFFERS, chunk * min(block, measure.natoms)))
+    for p0, lo in itertools.product(range(0, xs.shape[0], chunk), range(0, measure.natoms, block)):
+        xc = xs[p0 : p0 + chunk]
         pts = measure.points[lo : lo + block]
         wb = measure.weights[lo : lo + block]
-        a, s = pair_invariants_matrix(xs, pts)
-        x_arg = 2.0 * s - 1.0
-        for k, wk in zip(range(kmax + 1), cheb_ladder(a, s)):
+        bufs = [b[: len(xc) * len(pts)].reshape(len(xc), len(pts)) for b in stack]
+        a, s = pair_invariants_matrix(xc, pts, out=bufs[0:3])
+        prod = bufs[2]
+        x_arg = np.multiply(s, 2.0, out=bufs[3])
+        np.subtract(x_arg, 1.0, out=x_arg)
+        for k, wk in zip(range(kmax + 1), cheb_ladder(a, s, out=bufs[4:7])):
             rows_by_degree = by_k.get(k)
             if not rows_by_degree:
                 continue
-            for deg, p_deg in zip(range(max(rows_by_degree) + 1), jacobi_ladder(alpha, k + 1.0, x_arg)):
-                for row, coeff in rows_by_degree.get(deg, ()):
-                    out[row] += coeff * ((wk * p_deg) @ wb)
+            ladder = jacobi_ladder(alpha, k + 1.0, x_arg, out=bufs[7:10])
+            for deg, p_deg in zip(range(max(rows_by_degree) + 1), ladder):
+                rows = rows_by_degree.get(deg)
+                if not rows:
+                    continue
+                # P_0 = 1, and multiplying by exactly 1.0 changes no bit
+                sums = (wk if deg == 0 else np.multiply(wk, p_deg, out=prod)) @ wb
+                for row, coeff in rows:
+                    out[row, p0 : p0 + chunk] += coeff * sums
     return out
 
 

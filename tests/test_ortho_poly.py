@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import special
 
 from quatsphere import JacobiParams, binomial, cheb_u_scaled, jacobi_eval
+from quatsphere.ortho_poly import cheb_ladder, jacobi_ladder
 
 
 def _gen_binom(z: float, k: int) -> float:
@@ -13,6 +14,34 @@ def _gen_binom(z: float, k: int) -> float:
     for i in range(1, k + 1):
         out *= (z - k + i) / i
     return out
+
+
+def abs_cheb_rungs(k: int, a: float, s: float) -> list[float]:
+    """W-hat_0..W-hat_k: the W recurrence on absolute values, 2|a| W-hat_{i-1} + s W-hat_{i-2}.
+
+    W-hat_i bounds the terms the W recurrence adds up to rung i, and
+    W-hat_{k-i} bounds how an error made at rung i grows by rung k.
+    """
+    rungs = [1.0, 2.0 * abs(a)]
+    for _ in range(k - 1):
+        rungs.append(2.0 * abs(a) * rungs[-1] + s * rungs[-2])
+    return rungs[: k + 1]
+
+
+def homogeneity_bound(k: int, a: float, s: float, lam: float) -> float:
+    """Running rounding-error bound on |W_k(lam a, lam^2 s) - lam^k W_k(a, s)|.
+
+    (k + 2) u (W-hat_k(lam a, lam^2 s) + lam^k W-hat_k(a, s)), u the unit
+    roundoff.  Gradual underflow errs by up to the smallest subnormal eta
+    absolute rather than u relative; an eta made at any rung grows by at most
+    the W-hat of the rungs left, hence the eta term, which matters only for
+    subnormal a or lam a.
+    """
+    u = np.finfo(np.float64).eps / 2
+    eta = np.finfo(np.float64).smallest_subnormal
+    lhs = abs_cheb_rungs(k, lam * a, lam * lam * s)
+    rhs = abs_cheb_rungs(k, a, s)
+    return (k + 2) * (u * (lhs[-1] + lam**k * rhs[-1]) + eta * (sum(lhs) + lam**k * sum(rhs)))
 
 
 def jacobi_series(alpha: float, beta: float, m: int, x: float) -> float:
@@ -122,7 +151,19 @@ class TestChebUScaled:
         a = a_frac
         lhs = cheb_u_scaled(k, lam * a, lam * lam * s)
         rhs = lam**k * cheb_u_scaled(k, a, s)
-        assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
+        assert abs(lhs - rhs) <= homogeneity_bound(k, a, s, lam)
+
+    @pytest.mark.parametrize("k", range(2, 16))
+    @pytest.mark.parametrize("which", ["a", "s"])
+    def test_homogeneity_bound_fails_a_perturbed_ladder(self, k, which):
+        # the ladder's coefficient 2a or s perturbed by 1e-12 relative, on the
+        # left-hand side only: the running-error bound must reject it
+        a, s, lam = 0.3, 1.0, 3.0
+        rel = 1.0 + 1e-12
+        la, ls = (lam * a * rel, lam * lam * s) if which == "a" else (lam * a, lam * lam * s * rel)
+        lhs = [float(w) for _, w in zip(range(k + 1), cheb_ladder(np.array(la), np.array(ls)))][-1]
+        rhs = lam**k * cheb_u_scaled(k, a, s)
+        assert abs(lhs - rhs) > homogeneity_bound(k, a, s, lam)
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):
@@ -131,6 +172,82 @@ class TestChebUScaled:
             cheb_u_scaled(2, 0.0, -0.5)
         with pytest.raises(ValueError):
             cheb_u_scaled(-1, 0.0, 1.0)
+
+
+def allocating_cheb_rungs(a, s, k_max: int) -> list:
+    """W_0..W_k_max by the recurrence written with fresh temporaries (the reference)."""
+    rungs = [np.ones_like(a), 2.0 * a]
+    while len(rungs) <= k_max:
+        rungs.append(2.0 * a * rungs[-1] - s * rungs[-2])
+    return rungs[: k_max + 1]
+
+
+def allocating_jacobi_rungs(alpha, beta, x, m_max: int) -> list:
+    """P_0..P_m_max by the recurrence written with fresh temporaries (the reference)."""
+    apb = alpha + beta
+    rungs = [np.ones_like(x), 0.5 * (alpha - beta + (apb + 2.0) * x)]
+    for k in range(2, m_max + 1):
+        c1 = 2.0 * k * (k + apb) * (2.0 * k + apb - 2.0)
+        c2 = (2.0 * k + apb - 1.0) * (alpha * alpha - beta * beta)
+        c3 = (2.0 * k + apb - 2.0) * (2.0 * k + apb - 1.0) * (2.0 * k + apb)
+        c4 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * (2.0 * k + apb)
+        rungs.append(((c2 + c3 * x) * rungs[-1] - c4 * rungs[-2]) / c1)
+    return rungs[: m_max + 1]
+
+
+class TestLadderContract:
+    """The ladders write rungs into rotating buffers, with the operation order of fresh temporaries."""
+
+    @pytest.fixture(scope="class")
+    def invariants(self):
+        rng = np.random.default_rng(5)
+        s = rng.uniform(0.0, 1.0, (7, 9))
+        a = np.sqrt(s) * rng.uniform(-1.0, 1.0, s.shape)
+        return a, s
+
+    @pytest.mark.parametrize("own_buffers", [False, True])
+    def test_cheb_rungs_equal_pointwise_bit_for_bit(self, invariants, own_buffers):
+        a, s = invariants
+        out = [np.empty(a.shape) for _ in range(3)] if own_buffers else None
+        reference = allocating_cheb_rungs(a, s, 32)
+        for k, w in zip(range(33), cheb_ladder(a, s, out=out)):
+            assert np.array_equal(w, reference[k])
+            assert np.array_equal(w, cheb_u_scaled(k, a, s))
+
+    @pytest.mark.parametrize("own_buffers", [False, True])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_jacobi_rungs_equal_pointwise_bit_for_bit(self, invariants, own_buffers, n):
+        _, s = invariants
+        x = 2.0 * s - 1.0
+        for k in range(9):
+            out = [np.empty(x.shape) for _ in range(3)] if own_buffers else None
+            reference = allocating_jacobi_rungs(2 * n - 3, k + 1.0, x, 32)
+            for m, p in zip(range(33), jacobi_ladder(2 * n - 3, k + 1.0, x, out=out)):
+                assert np.array_equal(p, reference[m])
+                assert np.array_equal(p, jacobi_eval(JacobiParams(2 * n - 3, k + 1, m), x))
+
+    def test_caller_buffers_hold_the_rungs(self, invariants):
+        a, s = invariants
+        out = [np.empty(a.shape) for _ in range(3)]
+        for _, w in zip(range(6), cheb_ladder(a, s, out=out)):
+            assert any(w is b for b in out)
+
+    def test_successive_calls_return_distinct_arrays(self, invariants):
+        a, s = invariants
+        first = cheb_u_scaled(5, a, s)
+        kept = first.copy()
+        second = cheb_u_scaled(5, a, s)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
+        x = 2.0 * s - 1.0
+        p1 = jacobi_eval(JacobiParams(1, 2, 4), x)
+        p2 = jacobi_eval(JacobiParams(1, 2, 4), x)
+        assert not np.shares_memory(p1, p2)
+
+    def test_scalar_input_returns_float(self):
+        for k in (0, 1, 5):
+            assert type(cheb_u_scaled(k, 0.3, 0.5)) is float
+            assert type(jacobi_eval(JacobiParams(1, 2, k), 0.3)) is float
 
 
 class TestBinomial:

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,10 +211,11 @@ class TestSpectrumScan:
             direct = np.array([mu.weights @ bank8[hm].values(x, mu.points) for x in xs])
             assert np.mean(direct**2) == pytest.approx(scan.entry(*hm).norm_sq, rel=1e-12)
 
-    @pytest.mark.parametrize("elements", [4_000_000, 1_000])
+    @pytest.mark.parametrize("elements", [4_000_000, 1_000, 40])
     def test_block_size_is_invisible(self, bank8, monkeypatch, elements):
-        # a block of the whole measure, and blocks of 10 atoms (62 in the
-        # multiplier) with a ragged last one, give the same sums
+        # a block of the whole measure, blocks of 10 atoms (62 in the
+        # multiplier) with a ragged last one, and one-atom blocks over chunks
+        # of 40 probes (the last one ragged) give the same sums
         mu = gen_uniform(2, 3_001, seed=16)
         xs = sphere_samples(2, 16, 23)
         scan = spectrum_scan(mu, bank8, 8, 0.1, probes=96, seed=3)
@@ -224,17 +227,28 @@ class TestSpectrumScan:
         remult = apply_multiplier(mu, bank8, 0.2, 8, xs).values
         assert np.max(np.abs(remult - mult)) <= 1e-12 * np.max(np.abs(mult))
 
-    def test_blocks_hold_at_most_the_block_constant(self, bank8, monkeypatch):
+    def test_blocks_hold_at_most_the_block_constant(self, bank8, x0, monkeypatch):
         pairs = []
 
-        def counting(xs, ys):
+        def counting(xs, ys, **kw):
             pairs.append(xs.shape[0] * ys.shape[0])
-            return pair_invariants_matrix(xs, ys)
+            return pair_invariants_matrix(xs, ys, **kw)
 
         monkeypatch.setattr(spectral, "pair_invariants_matrix", counting)
         spectrum_scan(gen_uniform(2, 2_000, seed=18), bank8, 4, 0.1, probes=384, seed=3)
         assert len(pairs) == math.ceil(2_000 / (quat_core._BLOCK_ELEMENTS // 384))
         assert max(pairs) <= quat_core._BLOCK_ELEMENTS
+        # more points than a block holds: the points are chunked too
+        pairs.clear()
+        apply_multiplier(gen_point_mass(x0), bank8, 0.2, 8, sphere_samples(2, 70_000, 4))
+        assert pairs == [quat_core._BLOCK_ELEMENTS] * 2 + [70_000 - 2 * quat_core._BLOCK_ELEMENTS]
+
+    def test_seeded_scan_is_pinned(self, bank8):
+        # every float of this report, to the bit, as the engine computed it
+        # before its block buffers were reused across rungs and blocks
+        pinned = json.loads((Path(__file__).parent / "data" / "scan_uniform_600.json").read_text())
+        scan = spectrum_scan(gen_uniform(2, 600, seed=5), bank8, 8, 0.1, probes=96, seed=7)
+        assert scan.to_json_dict() == pinned
 
 
 class TestMultiplier:
@@ -288,9 +302,9 @@ class TestMultiplier:
         # all indices share the invariants of a block: one GEMM per block, not per index
         calls = []
 
-        def counting(xs, ys):
+        def counting(xs, ys, **kw):
             calls.append(ys.shape[0])
-            return pair_invariants_matrix(xs, ys)
+            return pair_invariants_matrix(xs, ys, **kw)
 
         monkeypatch.setattr(spectral, "pair_invariants_matrix", counting)
         monkeypatch.setattr(quat_core, "_BLOCK_ELEMENTS", 16 * 300)
