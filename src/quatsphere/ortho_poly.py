@@ -103,36 +103,42 @@ def _rung(ladder, k: int):
     return next(ladder)
 
 
-def jacobi_eval(params: JacobiParams, x):
+def jacobi_eval(params: JacobiParams, x, out=None):
     """P_m^{(alpha,beta)}(x) for x in [-1, 1] (scalar or array).
 
     Inputs may overshoot the interval by up to 1e-12 (floating-point inner
-    products); anything worse is rejected.
+    products); anything worse is rejected.  `out` is None or four float64
+    arrays of x's shape: the clipped x goes into the first (which may be x
+    itself) and the ladder's rungs into the other three, so the value is
+    valid only until they are reused.
     """
     arr = np.asarray(x, dtype=np.float64)
-    if np.any(arr < -1.0 - _DOMAIN_TOL) or np.any(arr > 1.0 + _DOMAIN_TOL):
+    if (arr < -1.0 - _DOMAIN_TOL).any() or (arr > 1.0 + _DOMAIN_TOL).any():
         raise ValueError("jacobi_eval argument outside [-1, 1] beyond tolerance")
-    arr = np.clip(arr, -1.0, 1.0)
-    p = _rung(jacobi_ladder(params.alpha, params.beta, arr), params.degree)
+    arr = np.clip(arr, -1.0, 1.0, out=None if out is None else out[0])
+    p = _rung(jacobi_ladder(params.alpha, params.beta, arr, out=None if out is None else out[1:]), params.degree)
     return p if isinstance(x, np.ndarray) else float(p)
 
 
-def cheb_u_scaled(k: int, a, s):
+def cheb_u_scaled(k: int, a, s, out=None):
     """W_k(a, s) = |q|^k U_k(a/|q|) with a = Re q, s = |q|^2.
 
     Polynomial in (a, s): W_0 = 1, W_1 = 2a, W_k = 2a W_{k-1} - s W_{k-2},
-    so the |q| = 0 singularity of U_k(a/|q|) never appears.
+    so the |q| = 0 singularity of U_k(a/|q|) never appears.  `out` is None
+    or the ladder's three rotating float64 arrays (see cheb_ladder).
     """
     if k < 0:
         raise ValueError(f"degree must be non-negative, got {k}")
     a_arr = np.asarray(a, dtype=np.float64)
     s_arr = np.asarray(s, dtype=np.float64)
-    if np.any(s_arr < -_DOMAIN_TOL):
+    if (s_arr < -_DOMAIN_TOL).any():
         raise ValueError("s = |q|^2 must be non-negative")
-    if np.any(a_arr * a_arr > s_arr + _DOMAIN_TOL):
+    if (a_arr * a_arr > s_arr + _DOMAIN_TOL).any():
         raise ValueError("need a^2 <= s (a is the real part of a quaternion of norm sqrt(s))")
 
-    w = _rung(cheb_ladder(*np.broadcast_arrays(a_arr, s_arr)), k)
+    if a_arr.shape != s_arr.shape:
+        a_arr, s_arr = np.broadcast_arrays(a_arr, s_arr)
+    w = _rung(cheb_ladder(a_arr, s_arr, out=out), k)
     return w if isinstance(a, np.ndarray) or isinstance(s, np.ndarray) else float(w)
 
 

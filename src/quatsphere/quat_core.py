@@ -282,11 +282,15 @@ def seeded_rng(*keys: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(list(keys)))
 
 
-def sphere_samples(n: int, count: int, seed: int | Sequence[int]) -> Array:
-    """(count, 4n) array of i.i.d. uniform points on S^{4n-1}.
+def sphere_sample_chunks(n: int, count: int, seed: int | Sequence[int], out: Array | None = None):
+    """Iterator over the rows of sphere_samples(n, count, seed), one chunk at a time.
 
     Uniformity comes from normalizing 4n-dimensional Gaussians; the stream is
-    split into fixed-size chunks with independently spawned substreams.
+    split into chunks of _SAMPLE_CHUNK rows with independently spawned
+    substreams.  Each chunk is written into one reused buffer of one chunk,
+    so a yielded chunk is valid only until the iterator advances; with `out`
+    (a (count, 4n) float64 array) chunk i goes into its rows from
+    i * _SAMPLE_CHUNK on instead.  The arguments are checked on the call.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -295,16 +299,31 @@ def sphere_samples(n: int, count: int, seed: int | Sequence[int]) -> Array:
     keys = [seed] if isinstance(seed, int) else list(seed)
     if any(k < 0 for k in keys):
         raise ValueError("seed keys must be non-negative")
-    dim = 4 * n
-    n_chunks = (count + _SAMPLE_CHUNK - 1) // _SAMPLE_CHUNK
-    children = np.random.SeedSequence(keys).spawn(n_chunks)
-    out = np.empty((count, dim))
-    for ci, child in enumerate(children):
-        lo = ci * _SAMPLE_CHUNK
-        hi = min(lo + _SAMPLE_CHUNK, count)
-        g = out[lo:hi]
-        np.random.default_rng(child).standard_normal(out=g)
-        g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
+    children = np.random.SeedSequence(keys).spawn((count + _SAMPLE_CHUNK - 1) // _SAMPLE_CHUNK)
+    buf = out if out is not None else np.empty((min(count, _SAMPLE_CHUNK), 4 * n))
+    rows = max(1, _BLOCK_ELEMENTS // (4 * n))
+
+    def chunks():
+        for ci, child in enumerate(children):
+            lo = ci * _SAMPLE_CHUNK if out is not None else 0
+            g = buf[lo : lo + min(_SAMPLE_CHUNK, count - ci * _SAMPLE_CHUNK)]
+            np.random.default_rng(child).standard_normal(out=g)
+            # normalized a block at a time: each row's norm is the same, and
+            # the squares need one block, not a chunk, of scratch
+            for r in range(0, len(g), rows):
+                piece = g[r : r + rows]
+                piece /= np.maximum(np.linalg.norm(piece, axis=1, keepdims=True), 1e-300)
+            yield g
+
+    return chunks()
+
+
+def sphere_samples(n: int, count: int, seed: int | Sequence[int]) -> Array:
+    """(count, 4n) array of i.i.d. uniform points on S^{4n-1} (see sphere_sample_chunks)."""
+    # arguments the iterator rejects get no buffer
+    out = np.empty((count, 4 * n)) if n >= 2 and count >= 1 else None
+    for _ in sphere_sample_chunks(n, count, seed, out=out):
+        pass
     return out
 
 
@@ -324,6 +343,21 @@ def sample_sphere(n: int, count: int, seed: int) -> list[SpherePoint]:
 # rung: 2.5 MiB in all, about one 2 MB L2 cache.  tracemalloc measured a
 # 2.58 MiB peak for one 384-probe, 25-index call over 5000 atoms.
 _BLOCK_ELEMENTS = 32_768
+
+
+def _aligned_empty(shape) -> Array:
+    """np.empty(shape) of float64 that starts on a 64-byte cache-line boundary.
+
+    malloc aligns a large block to 16 bytes only, so where a buffer starts
+    depends on what the process allocated before, and the scan engine's
+    block loops are sensitive to it: one 384-probe scan over 5000 atoms took
+    143 ms with its buffer stack on a boundary and 173-178 ms with it 8 to
+    24 bytes past one (one BLAS thread, 2-vCPU Xeon VM).
+    """
+    count = math.prod(shape)
+    raw = np.empty(count + 8)
+    start = (-raw.ctypes.data % 64) // 8
+    return raw[start : start + count].reshape(shape)
 
 
 def pair_invariants(x_vec: Array, points: Array) -> tuple[Array, Array]:

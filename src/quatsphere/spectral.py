@@ -267,7 +267,7 @@ def _projection_matrix(measure: DiscreteMeasure, cks: Sequence[CalibratedKernel]
     out = np.zeros((len(cks), xs.shape[0]))
     chunk = max(1, min(xs.shape[0], quat_core._BLOCK_ELEMENTS))
     block = max(1, quat_core._BLOCK_ELEMENTS // chunk)
-    stack = np.empty((_ENGINE_BUFFERS, chunk * min(block, measure.natoms)))
+    stack = quat_core._aligned_empty((_ENGINE_BUFFERS, chunk * min(block, measure.natoms)))
     for p0, lo in itertools.product(range(0, xs.shape[0], chunk), range(0, measure.natoms, block)):
         xc = xs[p0 : p0 + chunk]
         pts = measure.points[lo : lo + block]

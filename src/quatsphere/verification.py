@@ -13,14 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffops import FDConfig, eigencheck, l1_l2_identity
-from .quat_core import SpherePoint, seeded_rng, sphere_samples
+from . import quat_core
+from .quat_core import Array, SpherePoint, pair_invariants_matrix, seeded_rng, sphere_sample_chunks, sphere_samples
 from .spectral import cone_gap_check, psi
-from .zonal_kernel import (
-    CalibratedKernel,
-    UnusableKernelError,
-    _kernel_products,
-    index_range,
-)
+from .zonal_kernel import UnusableKernelError, index_range, raw_kernel_values
 
 _TAG_PAIRS = 51
 _TAG_PRODUCT = 52
@@ -147,32 +143,115 @@ def check_eigenvalues(
     return CheckResult(name="eigencheck", passed=passed, detail=detail)
 
 
-def _product_integral(
-    ck1: CalibratedKernel, ck2: CalibratedKernel, ys: np.ndarray, seed: int, tag: int
-) -> tuple[float, float, float]:
-    """MC estimate of integral K1(x, y) K2(y, z) dsigma(y) over the rows ys, its stderr, and K1(x, z)."""
-    ck1.require_usable()
-    ck2.require_usable()
-    x, z = sphere_samples(ck1.index.n, 2, [seed, tag + 1, ck1.index.h, ck2.index.h, ck1.index.m, ck2.index.m])
-    prod = _kernel_products(ck1.index, ck2.index, x, z, ys, ck1.c, ck2.c)
-    est = float(np.mean(prod))
-    stderr = float(np.std(prod, ddof=1)) / math.sqrt(len(ys))
-    return est, stderr, float(ck1.values(x, z[None, :])[0])
+# sample rows per block of the product pass, rounded down to whole
+# sub-blocks: each trial's kernel rows walk the ladders over a whole block.
+# Both checks at n = 2 and 3 (seed 1, best of 12 rounds, one BLAS thread,
+# two sets) took 655-770 ms at 8192 and 672-703 ms at 16384, which holds
+# twice the block memory; 4096 took 746-819 ms and one 1638-row sub-block
+# 989 ms.
+_PASS_ROWS = 8192
+
+
+def _merge_moments(moments, block: Array):
+    """Chan-Golub-LeVeque merge of (count, mean, centred sum of squares) per row with a (T, R) block.
+
+    The block is overwritten with its centred values.
+    """
+    count, mean, m2 = moments
+    rows = block.shape[1]
+    b_mean = block.mean(axis=1)
+    centred = np.subtract(block, b_mean[:, None], out=block)
+    b_m2 = np.einsum("ij,ij->i", centred, centred)
+    total = count + rows
+    delta = b_mean - mean
+    return total, mean + delta * (rows / total), m2 + b_m2 + delta * delta * (count * rows / total)
+
+
+def _product_moments(kernels, ends: Array, chunks) -> tuple[Array, Array]:
+    """Mean and stderr over the sample rows y of K1(x, y) K2(y, z), for every trial in one pass.
+
+    Trial t takes its kernels (K1, K2) from kernels[t] and x, z from rows 2t
+    and 2t + 1 of ends.  The rows of each chunk (such as those of
+    sphere_sample_chunks) are taken in sub-blocks of
+    quat_core._BLOCK_ELEMENTS // len(ends) rows, and a block is as many
+    sub-blocks as fill about _PASS_ROWS rows.  Per sub-block one GEMM call
+    gives the invariants of every endpoint, into its own contiguous slab of
+    a and s; then each trial's two kernel rows go through the ladders over
+    the whole block, in reused buffers.
+    """
+    sub = max(1, quat_core._BLOCK_ELEMENTS // len(ends))
+    per_block = max(1, _PASS_ROWS // sub)
+    a, s = np.zeros((2, per_block, len(ends), sub))
+    scratch = np.empty((len(ends), sub))
+    rows = np.empty((7, per_block, sub))  # raw_kernel_values' buffers
+    prods = np.empty((len(kernels), per_block * sub))
+    moments = (0, np.zeros(len(kernels)), np.zeros(len(kernels)))
+    for chunk in chunks:
+        for lo in range(0, len(chunk), per_block * sub):
+            ys = chunk[lo : lo + per_block * sub]
+            used = -(-len(ys) // sub)
+            for i in range(used):
+                part = ys[i * sub : (i + 1) * sub]
+                w = len(part)
+                pair_invariants_matrix(ends, part, out=(a[i, :, :w], s[i, :, :w], scratch[:, :w]))
+            # past the samples, a and s still hold zeros or an earlier block's
+            # invariants: valid points, whose products are dropped
+            bufs = list(rows[:, :used])
+            for t, (ck1, ck2) in enumerate(kernels):
+                prod = prods[t, : used * sub].reshape(used, sub)
+                prod[...] = raw_kernel_values(ck1.index, a[:used, 2 * t], s[:used, 2 * t], ck1.c, bufs)
+                prod *= raw_kernel_values(ck2.index, a[:used, 2 * t + 1], s[:used, 2 * t + 1], ck2.c, bufs)
+            moments = _merge_moments(moments, prods[:, : len(ys)])
+    count, mean, m2 = moments
+    if count < 2:
+        raise ValueError(f"a Monte Carlo product needs at least 2 samples, got {count}")
+    return mean, np.sqrt(m2 / (count - 1)) / math.sqrt(count)
+
+
+def _product_integrals(trials, n: int, n_samples: int, seed: int, tag: int) -> list:
+    """Per trial (K1, K2): (est, stderr, K1(x, z)) for the integral of K1(x, y) K2(y, z) dsigma(y).
+
+    Every trial draws its own x and z; the samples y are one stream, keyed
+    [seed, tag], shared by all trials and walked once.  A trial with an
+    unusable kernel gets its error message instead, and the others are
+    still evaluated.
+    """
+    results, usable, ends = [], [], []
+    for trial, (ck1, ck2) in enumerate(trials):
+        try:
+            ck1.require_usable()
+            ck2.require_usable()
+        except UnusableKernelError as exc:
+            results.append(str(exc))
+            continue
+        x, z = sphere_samples(n, 2, [seed + trial, tag + 1, ck1.index.h, ck2.index.h, ck1.index.m, ck2.index.m])
+        results.append(float(ck1.values(x, z[None, :])[0]))
+        usable.append(trial)
+        ends += [x, z]
+    if usable:
+        est, stderr = _product_moments(
+            [trials[t] for t in usable], np.stack(ends), sphere_sample_chunks(n, n_samples, [seed, tag])
+        )
+        for i, t in enumerate(usable):
+            results[t] = (float(est[i]), float(stderr[i]), results[t])
+    return results
 
 
 def check_orthogonality(bank, n: int, h_max: int, n_samples: int, seed: int, pairs: int = 10) -> CheckResult:
     rng = seeded_rng(seed, _TAG_PAIRS)
     indices = index_range(n, min(h_max, 5))
-    ys = sphere_samples(n, n_samples, [seed, _TAG_PRODUCT])
-    failures = []
-    for trial in range(pairs):
+    if len(indices) < 2:
+        raise ValueError(f"orthogonality needs two distinct indices, but h_max {h_max} gives only (0,0)")
+    trials = []
+    for _ in range(pairs):
         i1, i2 = rng.choice(len(indices), size=2, replace=False)
-        ck1, ck2 = bank[(indices[i1].h, indices[i1].m)], bank[(indices[i2].h, indices[i2].m)]
-        try:
-            est, stderr, _ = _product_integral(ck1, ck2, ys, seed + trial, _TAG_PRODUCT)
-        except UnusableKernelError as exc:
-            failures.append(str(exc))
+        trials.append((bank[(indices[i1].h, indices[i1].m)], bank[(indices[i2].h, indices[i2].m)]))
+    failures = []
+    for (ck1, ck2), result in zip(trials, _product_integrals(trials, n, n_samples, seed, _TAG_PRODUCT)):
+        if isinstance(result, str):
+            failures.append(result)
             continue
+        est, stderr, _ = result
         # the rounding floor covers degenerate cases with (near-)zero variance
         if abs(est) > 4.0 * stderr + 1e-9:
             failures.append(f"{(ck1.index.h, ck1.index.m)}x{(ck2.index.h, ck2.index.m)}: {est:.3e} vs 4se {4*stderr:.3e}")
@@ -186,18 +265,18 @@ def check_orthogonality(bank, n: int, h_max: int, n_samples: int, seed: int, pai
 def check_idempotency(bank, n: int, h_max: int, n_samples: int, seed: int, pairs: int = 10) -> CheckResult:
     rng = seeded_rng(seed, _TAG_PAIRS + 1)
     indices = index_range(n, min(h_max, 5))
-    ys = sphere_samples(n, n_samples, [seed, _TAG_PRODUCT + 7])
-    failures = []
-    for trial in range(pairs):
+    trials = []
+    for _ in range(pairs):
         idx = indices[int(rng.integers(len(indices)))]
-        ck = bank[(idx.h, idx.m)]
-        try:
-            est, stderr, target = _product_integral(ck, ck, ys, seed + trial, _TAG_PRODUCT + 7)
-        except UnusableKernelError as exc:
-            failures.append(str(exc))
+        trials.append((bank[(idx.h, idx.m)],) * 2)
+    failures = []
+    for (ck, _), result in zip(trials, _product_integrals(trials, n, n_samples, seed, _TAG_PRODUCT + 7)):
+        if isinstance(result, str):
+            failures.append(result)
             continue
+        est, stderr, target = result
         if abs(est - target) > 4.0 * stderr + 1e-9 * max(abs(target), 1.0):
-            failures.append(f"({idx.h},{idx.m}): |{est:.4e} - {target:.4e}| vs 4se {4*stderr:.3e}")
+            failures.append(f"({ck.index.h},{ck.index.m}): |{est:.4e} - {target:.4e}| vs 4se {4*stderr:.3e}")
     for idx in indices:
         ck = bank[(idx.h, idx.m)]
         # a usable kernel's diagonal is its exact dimension, whether or not a product drew it

@@ -29,7 +29,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import quat_core
 from .ortho_poly import JacobiParams, binomial, cheb_u_scaled, jacobi_eval
 from .quat_core import Array, SpherePoint, pair_invariants, pair_invariants_matrix, sphere_samples
 
@@ -126,36 +125,20 @@ class KernelIndex:
         return scale * self.prefactor * binomial(self.h - self.m + 2 * self.n - 2, 2 * self.n - 3)
 
 
-def raw_kernel_values(idx: KernelIndex, a, s):
-    """Raw kernel evaluated from the invariants a = Re<x,y>, s = |<x,y>|^2."""
-    s_arr = np.asarray(s, dtype=np.float64)
-    return idx.coefficient() * cheb_u_scaled(idx.k, a, s_arr) * jacobi_eval(idx.jacobi, 2.0 * s_arr - 1.0)
+def raw_kernel_values(idx: KernelIndex, a, s, scale: float = 1.0, out=None):
+    """scale * raw kernel, from the invariants a = Re<x,y> and s = |<x,y>|^2.
 
-
-def _kernel_products(
-    idx1: KernelIndex,
-    idx2: KernelIndex,
-    x: Array,
-    z: Array,
-    samples: Array,
-    c1: float = 1.0,
-    c2: float = 1.0,
-) -> Array:
-    """(c1 * raw1(x, y)) * (c2 * raw2(y, z)) for every sample row y.
-
-    The samples are walked in blocks of quat_core._BLOCK_ELEMENTS // 2 rows:
-    per block one GEMM gives the invariants of both x and z, and both ladder
-    walks stay cache-sized.  Multiplying by the default c = 1.0 is exact.
+    `out` is None or seven float64 arrays of a's shape, all overwritten: the
+    Chebyshev ladder's three rungs, 2s - 1 and the Jacobi ladder's three
+    rungs.  The value is written into one of the Chebyshev rungs (fresh ones
+    without out), so with out it is valid only until out is reused.
     """
-    ends = np.stack([x, z])
-    out = np.empty(samples.shape[0])
-    block = max(1, quat_core._BLOCK_ELEMENTS // 2)
-    for lo in range(0, samples.shape[0], block):
-        a, s = pair_invariants_matrix(ends, samples[lo : lo + block])
-        out[lo : lo + block] = (c1 * raw_kernel_values(idx1, a[0], s[0])) * (
-            c2 * raw_kernel_values(idx2, a[1], s[1])
-        )
-    return out
+    s_arr = np.asarray(s, dtype=np.float64)
+    cheb, x, jac = (None, None, None) if out is None else (out[:3], out[3], out[3:])
+    w = cheb_u_scaled(idx.k, a, s_arr, out=cheb)
+    x = np.subtract(np.multiply(s_arr, 2.0, out=x), 1.0, out=x)
+    p = jacobi_eval(idx.jacobi, x, out=jac)
+    return np.multiply(np.multiply(w, idx.coefficient(scale), out=w), p, out=w)
 
 
 def raw_kernel(idx: KernelIndex, x: SpherePoint, y: SpherePoint) -> float:

@@ -24,9 +24,9 @@ from quatsphere import (
 )
 from quatsphere.cli import main
 from quatsphere.spectral import function_measure, in_cone
-from quatsphere.verification import _product_integral, _TAG_PRODUCT
+from quatsphere.verification import _product_integrals, _TAG_PRODUCT
 from quatsphere.zonal_kernel import index_range
-from quatsphere.quat_core import seeded_rng, sphere_samples
+from quatsphere.quat_core import seeded_rng
 
 from .conftest import BANK_SAMPLES, BANK_SEED
 
@@ -95,17 +95,17 @@ def test_criterion_4_orthogonality_idempotency(bank8):
     indices = index_range(2, 5)
     rng = seeded_rng(314, 1)
     worst_z = 0.0
-    ys = sphere_samples(2, BANK_SAMPLES, [400, _TAG_PRODUCT])
-    for trial in range(5):
+    distinct = []
+    for _ in range(5):
         i1, i2 = rng.choice(len(indices), size=2, replace=False)
-        ck1, ck2 = bank8[(indices[i1].h, indices[i1].m)], bank8[(indices[i2].h, indices[i2].m)]
-        est, stderr, _ = _product_integral(ck1, ck2, ys, 400 + trial, _TAG_PRODUCT)
+        distinct.append((bank8[(indices[i1].h, indices[i1].m)], bank8[(indices[i2].h, indices[i2].m)]))
+    for est, stderr, _ in _product_integrals(distinct, 2, BANK_SAMPLES, 400, _TAG_PRODUCT):
         worst_z = max(worst_z, abs(est) / (stderr + 1e-30))
-    ys = sphere_samples(2, BANK_SAMPLES, [500, _TAG_PRODUCT + 7])
-    for trial in range(5):
+    equal = []
+    for _ in range(5):
         idx = indices[int(rng.integers(len(indices)))]
-        ck = bank8[(idx.h, idx.m)]
-        est, stderr, target = _product_integral(ck, ck, ys, 500 + trial, _TAG_PRODUCT + 7)
+        equal.append((bank8[(idx.h, idx.m)],) * 2)
+    for est, stderr, target in _product_integrals(equal, 2, BANK_SAMPLES, 500, _TAG_PRODUCT + 7):
         z = abs(est - target) / (stderr + 1e-9 * max(abs(target), 1.0))
         worst_z = max(worst_z, z)
     ok = worst_z <= 4.0

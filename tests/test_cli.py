@@ -164,6 +164,14 @@ class TestCommands:
         assert rc == 2
         assert "fd_step" in capsys.readouterr().err
 
+    def test_verify_at_h_max_0_names_the_cause(self, tmp_path, capsys):
+        # (0, 0) is the only index, so no distinct pair can be drawn
+        rc = main(["verify", "--n", "2", "--h-max", "0", "--seed", "1", "--cache", str(tmp_path / "c.json"),
+                   "--out", str(tmp_path / "v.json")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: orthogonality needs two distinct indices, but h_max 0 gives only (0,0)\n"
+        assert not (tmp_path / "v.json").exists()
+
     def test_spectrum_uniform(self, tmp_path):
         cache = tmp_path / "cache.json"
         out = tmp_path / "scan"

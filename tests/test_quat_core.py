@@ -17,7 +17,9 @@ from quatsphere import (
     sphere_samples,
     tangent_frame,
 )
-from quatsphere.quat_core import I, J, K, ONE, pair_invariants, pair_invariants_matrix
+from quatsphere.quat_core import (
+    I, J, K, ONE, _aligned_empty, pair_invariants, pair_invariants_matrix, sphere_sample_chunks,
+)
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
 quats = st.builds(Quaternion, finite, finite, finite, finite)
@@ -206,6 +208,33 @@ class TestSampling:
             g = np.random.default_rng(child).standard_normal((hi - lo, 8))
             ref[lo:hi] = g / np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
         assert np.array_equal(sphere_samples(2, count, 9), ref)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("count", [1, 1000, 1 << 16, 2 * (1 << 16) + 5])
+    def test_chunk_iterator_gives_the_same_rows(self, n, count):
+        # one reused buffer, chunks of 65536 rows, the last one ragged
+        rows, sizes = [], []
+        for chunk in sphere_sample_chunks(n, count, [4, n]):
+            rows.append(chunk.copy())
+            sizes.append(len(chunk))
+        assert sizes == [min(1 << 16, count - lo) for lo in range(0, count, 1 << 16)]
+        assert np.array_equal(np.concatenate(rows), sphere_samples(n, count, [4, n]))
+
+    def test_chunk_iterator_reuses_one_buffer(self):
+        chunks = sphere_sample_chunks(2, 2 * (1 << 16) + 5, 9)
+        first = next(chunks)
+        assert all(np.shares_memory(first, chunk) for chunk in chunks)
+
+    def test_chunk_iterator_checks_arguments_on_the_call(self):
+        for args in [(1, 5, 0), (2, 0, 0), (2, 5, [-1])]:
+            with pytest.raises(ValueError):
+                sphere_sample_chunks(*args)
+
+    @pytest.mark.parametrize("shape", [(1,), (3, 5), (10, 32640), (2, 5, 20, 1638)])
+    def test_aligned_empty_starts_on_a_cache_line(self, shape):
+        arr = _aligned_empty(shape)
+        assert arr.shape == shape and arr.dtype == np.float64 and arr.flags.c_contiguous
+        assert arr.ctypes.data % 64 == 0
 
     def test_coordinate_means_vanish(self):
         pts = sphere_samples(2, 1_000_000, 1234)

@@ -1,9 +1,10 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from quatsphere import verification
+from quatsphere import calibrate_bank, verification
 from quatsphere.spectral import psi
 from quatsphere.verification import _first_spike
 
@@ -68,17 +69,36 @@ class TestFirstSpike:
 class TestSharedSamples:
     @pytest.mark.parametrize("check", [verification.check_orthogonality, verification.check_idempotency])
     def test_one_sample_draw_per_check(self, bank8, monkeypatch, check):
+        # whether drawn whole or streamed in chunks
         counts = []
-        draw = verification.sphere_samples
 
-        def counting(n, count, seed):
-            counts.append(count)
-            return draw(n, count, seed)
+        def counting(draw):
+            def counted(n, count, seed):
+                counts.append(count)
+                return draw(n, count, seed)
 
-        monkeypatch.setattr(verification, "sphere_samples", counting)
+            return counted
+
+        monkeypatch.setattr(verification, "sphere_samples", counting(verification.sphere_samples))
+        monkeypatch.setattr(verification, "sphere_sample_chunks", counting(verification.sphere_sample_chunks))
         result = check(bank8, 2, 8, 3000, 7, pairs=6)
         assert result.passed, result.detail
         assert sorted(counts) == [2] * 6 + [3000]
+
+
+    def test_streamed_sample_set_bounds_memory(self):
+        # n = 3, 2e5 samples: the whole sample set alone is 18.3 MiB, and
+        # drawing and holding it peaked at 25.3 MiB; streamed, the peak is
+        # one chunk and the block buffers, about 10 MiB
+        bank = calibrate_bank(3, 6, 10_000, 0)
+        tracemalloc.start()
+        try:
+            result = verification.check_orthogonality(bank, 3, 6, 200_000, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.passed, result.detail
+        assert peak < 16 * 2**20, peak
 
 
 class TestIdempotencyDiagonals:

@@ -20,7 +20,7 @@ from quatsphere import (
     sphere_samples,
 )
 from quatsphere.quat_core import pair_invariants_matrix
-from quatsphere.verification import _TAG_PRODUCT, _product_integral
+from quatsphere.verification import _TAG_PRODUCT, _merge_moments, _product_integrals
 from quatsphere.zonal_kernel import raw_kernel_values
 
 
@@ -242,25 +242,72 @@ class TestCache:
         assert loaded.c == pytest.approx(1.5 * cache.get(KernelIndex(2, 1, 2)).c)
 
 
+def pointwise_products(ck1, ck2, count: int, seed: int, trial: int = 0):
+    """K1(x, y) K2(y, z) over the rows y of one sample set, from CalibratedKernel.values: the oracle."""
+    ys = sphere_samples(2, count, [seed, _TAG_PRODUCT])
+    (h1, m1), (h2, m2) = (ck1.index.h, ck1.index.m), (ck2.index.h, ck2.index.m)
+    x, z = sphere_samples(2, 2, [seed + trial, _TAG_PRODUCT + 1, h1, h2, m1, m2])
+    return ck1.values(x, ys) * ck2.values(z, ys)
+
+
 class TestBlockedSamplePath:
     @pytest.mark.parametrize("pair", [((3, 1), (3, 1)), ((2, 1), (4, 2))])
     def test_product_integral_matches_pointwise_values(self, bank8, pair):
         ck1, ck2 = bank8[pair[0]], bank8[pair[1]]
-        ys = sphere_samples(2, 20_000, [5, _TAG_PRODUCT])
-        est, stderr, _ = _product_integral(ck1, ck2, ys, 5, _TAG_PRODUCT)
-        (h1, m1), (h2, m2) = pair
-        x, z = sphere_samples(2, 2, [5, _TAG_PRODUCT + 1, h1, h2, m1, m2])
-        prod = ck1.values(x, ys) * ck2.values(z, ys)
+        [(est, stderr, _)] = _product_integrals([(ck1, ck2)], 2, 20_000, 5, _TAG_PRODUCT)
+        prod = pointwise_products(ck1, ck2, 20_000, 5)
         assert est == pytest.approx(np.mean(prod), rel=1e-12)
         assert stderr == pytest.approx(np.std(prod, ddof=1) / math.sqrt(20_000), rel=1e-12)
 
+    def test_ten_trials_over_ragged_chunks_and_blocks(self, bank8):
+        # 20 endpoints make sub-blocks of 1638 rows and blocks of 8190, so the
+        # count ends ragged in a chunk, a block and a sub-block, and each full
+        # chunk ends ragged in a block and a sub-block
+        keys = [(3, 1), (2, 1), (4, 2), (0, 0), (5, 2), (1, 0), (4, 0), (2, 0), (5, 1), (3, 0)]
+        trials = [(bank8[keys[t]], bank8[keys[(3 * t + 1) % 10]]) for t in range(10)]
+        count = 2 * (1 << 16) + 5
+        results = _product_integrals(trials, 2, count, 5, _TAG_PRODUCT)
+        for trial, ((ck1, ck2), (est, stderr, _)) in enumerate(zip(trials, results)):
+            prod = pointwise_products(ck1, ck2, count, 5, trial)
+            assert est == pytest.approx(np.mean(prod), rel=1e-12), trial
+            assert stderr == pytest.approx(np.std(prod, ddof=1) / math.sqrt(count), rel=1e-12), trial
+
     def test_product_integral_refuses_unusable_kernels(self, bank8):
+        # the trial with an unusable kernel, first or second, is reported; the others are still evaluated
         bad = CalibratedKernel(KernelIndex(2, 1, 2), c=1.0, spread=0.5, n_samples=1, seed=0)
-        ys = sphere_samples(2, 20_000, [5, _TAG_PRODUCT])
-        with pytest.raises(UnusableKernelError):
-            _product_integral(bad, bank8[(2, 1)], ys, 5, _TAG_PRODUCT)
-        with pytest.raises(UnusableKernelError):
-            _product_integral(bank8[(2, 1)], bad, ys, 5, _TAG_PRODUCT)
+        good = bank8[(2, 1)]
+        results = _product_integrals([(bad, good), (good, good), (good, bad)], 2, 20_000, 5, _TAG_PRODUCT)
+        with pytest.raises(UnusableKernelError) as exc:
+            bad.require_usable()
+        assert results[0] == results[2] == str(exc.value)
+        prod = pointwise_products(good, good, 20_000, 5, trial=1)
+        assert results[1][0] == pytest.approx(np.mean(prod), rel=1e-12)
+
+    def test_fewer_than_two_samples_is_an_error(self, bank8):
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            _product_integrals([(bank8[(2, 1)], bank8[(2, 1)])], 2, 1, 5, _TAG_PRODUCT)
+
+
+class TestStableMoments:
+    def test_constant_product_has_zero_stderr(self, bank8):
+        ck = bank8[(0, 0)]
+        [(est, stderr, target)] = _product_integrals([(ck, ck)], 2, 20_000, 5, _TAG_PRODUCT)
+        prod = pointwise_products(ck, ck, 20_000, 5)
+        assert np.std(prod, ddof=1) == 0.0
+        assert stderr == 0.0
+        assert est == target == 1.0
+
+    def test_large_mean_small_variance(self):
+        # a mean 1e4 standard deviations from 0: summing x and x^2 would lose about 8 digits of the variance
+        rng = np.random.default_rng(3)
+        values = 1e4 + rng.standard_normal((2, 70_001))
+        moments = (0, np.zeros(2), np.zeros(2))
+        for lo in range(0, values.shape[1], 8190):
+            moments = _merge_moments(moments, values[:, lo : lo + 8190].copy())
+        count, mean, m2 = moments
+        assert count == values.shape[1]
+        assert mean == pytest.approx(values.mean(axis=1), rel=1e-15)
+        assert np.sqrt(m2 / (count - 1)) == pytest.approx(np.std(values, axis=1, ddof=1), rel=1e-12)
 
 
 def test_section_matches_pointwise(bank8):
