@@ -7,33 +7,16 @@ multiplier acting on discrete measures, and numerical dimension estimation
 for example measures.
 """
 
-from .quat_core import (
-    AXES,
-    HVector,
-    Quaternion,
-    SpherePoint,
-    exp_imag,
-    flow,
-    geodesic,
-    inner,
-    quat_mul,
-    sample_sphere,
-    seeded_rng,
-    sphere_samples,
-    tangent_frame,
-)
+from .quat_core import AXES, SpherePoint, seeded_rng, sphere_samples, tangent_frame
 from .ortho_poly import JacobiParams, binomial, cheb_u_scaled, jacobi_eval
 from .zonal_kernel import (
     CalibratedKernel,
-    KernelCache,
     KernelIndex,
     UnusableKernelError,
     calibrate,
     calibrate_bank,
     in_index_set,
     index_range,
-    kernel,
-    kernel_dim,
     raw_kernel,
 )
 from .diffops import (
@@ -44,7 +27,6 @@ from .diffops import (
     gamma_apply,
     l1_l2_identity,
     laplace_beltrami_apply,
-    t_axis,
 )
 from .spectral import (
     ConeParams,

@@ -1,12 +1,15 @@
-"""Command-line entry point for kernel constants, scans, verification and reports.
+"""Command-line entry point for verification, scans, multipliers and reports.
 
 Measure files are plain text: a header line "# n=<n>" followed by one atom
 per line as 4n+1 comma-separated reals (ambient coordinates, then weight).
 In place of a file, the built-in fixtures uniform | point | subsphere:<k> |
 sp1-orbit may be named directly; they are generated from (n, atoms, seed).
 
-Exit codes: 0 success; 1 a check failed, a cached kernel is unusable or the
-eigencheck probes are degenerate; 2 a usage, parameter or I/O error.
+Every command builds the kernels it needs from their exact constants, so no
+command depends on an earlier run.
+
+Exit codes: 0 success; 1 a check failed or the eigencheck probes are
+degenerate; 2 a usage, parameter or I/O error.
 Errors print one line on stderr rather than a traceback.
 """
 
@@ -33,7 +36,7 @@ from .dimension_lab import (
 from .quat_core import SpherePoint, sphere_samples
 from .spectral import DiscreteMeasure, apply_multiplier, spectrum_scan
 from .verification import run_verification
-from .zonal_kernel import KernelCache, UnusableKernelError, calibrate_bank, index_range
+from .zonal_kernel import calibrate_bank
 
 _TAG_FIXTURE = 71
 _TAG_MULT = 72
@@ -52,7 +55,6 @@ class RunConfig:
     probes: int | None = None
     seed: int = 0
     fd_step: float = 1e-2
-    cache_path: str = "calibration_cache.json"
     output_path: str | None = None
     atoms: int = 20_000
 
@@ -67,6 +69,8 @@ class RunConfig:
             raise UsageError("fd_step must lie in [1e-4, 1e-1]")
         if self.atoms < 1:
             raise UsageError("atoms must be positive")
+        if self.probes is not None and self.probes < 1:
+            raise UsageError(f"probes must be positive, got {self.probes}")
 
     def probe_count(self, default: int) -> int:
         return self.probes if self.probes is not None else default
@@ -78,7 +82,7 @@ _CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 def _coerce(name: str, value: str):
     if name in ("epsilon", "fd_step"):
         return float(value)
-    if name in ("cache_path", "output_path"):
+    if name == "output_path":
         return value
     return int(value)
 
@@ -173,27 +177,8 @@ def resolve_measure(name: str, cfg: RunConfig) -> DiscreteMeasure:
 
 
 def _bank(cfg: RunConfig):
-    """Calibrate (or load) every kernel up to h_max, updating the cache."""
-    return calibrate_bank(cfg.n, cfg.h_max, cfg.mc_samples, cfg.seed, cache=KernelCache(cfg.cache_path))
-
-
-def _bank_from_cache(cfg: RunConfig):
-    """Load calibrated kernels strictly from the cache; never recalibrate."""
-    cache = KernelCache(cfg.cache_path)
-    bank, missing = {}, []
-    for idx in index_range(cfg.n, cfg.h_max):
-        ck = cache.get(idx)
-        if ck is None:
-            missing.append(f"({idx.h},{idx.m})")
-        else:
-            bank[(idx.h, idx.m)] = ck
-    if missing:
-        raise UsageError(
-            f"calibration cache {cfg.cache_path!r} is missing {len(missing)} entries "
-            f"(first: {', '.join(missing[:4])}); run "
-            f"`quatsphere calibrate --n {cfg.n} --h-max {cfg.h_max}` first"
-        )
-    return bank
+    """The exact kernel of every index up to h_max."""
+    return calibrate_bank(cfg.n, cfg.h_max)
 
 
 def _out_base(cfg: RunConfig, default: str) -> Path:
@@ -211,16 +196,6 @@ def _write_json(path: Path, payload: dict):
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
-
-
-def cmd_calibrate(cfg: RunConfig) -> int:
-    cache = KernelCache(cfg.cache_path)
-    for idx in index_range(cfg.n, cfg.h_max):
-        ck = cache.get_or_calibrate(idx, cfg.mc_samples, cfg.seed)
-        print(f"({idx.h},{idx.m}): c={ck.c:+.6e} spread={ck.spread:.4f}")
-    cache.save()
-    print(f"cache written to {cfg.cache_path}")
-    return 0
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -245,7 +220,7 @@ def cmd_spectrum(measure_name: str, cfg: RunConfig) -> int:
     measure = resolve_measure(measure_name, cfg)
     if measure.n != cfg.n:
         raise UsageError(f"measure has n={measure.n} but config says n={cfg.n}")
-    bank = _bank_from_cache(cfg)
+    bank = _bank(cfg)
     report = spectrum_scan(
         measure, bank, cfg.h_max, cfg.epsilon,
         probes=cfg.probe_count(384), seed=cfg.seed,
@@ -263,7 +238,7 @@ def cmd_multiplier(measure_name: str, cfg: RunConfig) -> int:
     measure = resolve_measure(measure_name, cfg)
     if measure.n != cfg.n:
         raise UsageError(f"measure has n={measure.n} but config says n={cfg.n}")
-    bank = _bank_from_cache(cfg)
+    bank = _bank(cfg)
     xs = sphere_samples(cfg.n, cfg.probe_count(64), [cfg.seed, _TAG_MULT])
     result = apply_multiplier(measure, bank, cfg.epsilon, cfg.h_max, xs)
     base = _out_base(cfg, "multiplier")
@@ -300,7 +275,7 @@ def cmd_report(measure_name: str, cfg: RunConfig) -> int:
     measure = resolve_measure(measure_name, cfg)
     if measure.n != cfg.n:
         raise UsageError(f"measure has n={measure.n} but config says n={cfg.n}")
-    bank = _bank_from_cache(cfg)
+    bank = _bank(cfg)
     report = theorem_consistency_report(
         measure, bank, cfg.epsilon, cfg.h_max, seed=cfg.seed,
         probes=cfg.probe_count(384),
@@ -330,7 +305,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--probes", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--fd-step", dest="fd_step", type=float)
-    p.add_argument("--cache", dest="cache_path")
     p.add_argument("--out", dest="output_path")
     p.add_argument("--atoms", type=int, help="atom count for generated fixtures")
 
@@ -339,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="quatsphere", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, needs_measure in [
-        ("calibrate", False),
         ("verify", False),
         ("spectrum", True),
         ("multiplier", True),
@@ -370,8 +343,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = config_from_args(args)
-        if args.command == "calibrate":
-            return cmd_calibrate(cfg)
         if args.command == "verify":
             return cmd_verify(cfg)
         if args.command == "spectrum":
@@ -383,7 +354,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "report":
             return cmd_report(args.measure, cfg)
         raise UsageError(f"unknown command {args.command!r}")
-    except (UnusableKernelError, DegenerateProbesError) as exc:
+    except DegenerateProbesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (UsageError, ValueError) as exc:

@@ -17,9 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quat_core import (
-    I, J, K, Array, SpherePoint, flow_points, geodesic_points, left_mul_points, sphere_samples, tangent_frame,
-)
+from .quat_core import AXES, Array, SpherePoint, _apply_axis_flat, geodesic_points, sphere_samples, tangent_frame
 from .zonal_kernel import CalibratedKernel
 
 PointFunction = Callable[[Array], Array]
@@ -50,16 +48,6 @@ def _extrapolate(coarse: float, fine: float, cfg: FDConfig) -> float:
     return (4.0 * fine - coarse) / 3.0 if cfg.richardson else coarse
 
 
-def t_axis(f: PointFunction, x: SpherePoint, axis: str, cfg: FDConfig = FDConfig()) -> float:
-    """Derivative of f along the flow t -> exp(-axis*t)x at t = 0."""
-    estimates = []
-    for tau in _steps(cfg):
-        fwd = float(f(flow_points(x.vec[None, :], axis, tau))[0])
-        bwd = float(f(flow_points(x.vec[None, :], axis, -tau))[0])
-        estimates.append((fwd - bwd) / (2.0 * tau))
-    return _extrapolate(estimates[0], estimates[-1], cfg)
-
-
 def _great_circle_sum(f: PointFunction, x: SpherePoint | Array, directions: Callable[[Array], Array], cfg: FDConfig):
     """Minus the summed second differences of f along t -> cos(t) y + sin(t) e.
 
@@ -86,7 +74,7 @@ def gamma_apply(f: PointFunction, x: SpherePoint | Array, cfg: FDConfig = FDConf
     For a unit imaginary u, exp(-u t) x = cos(t) x - sin(t) u x: each flow is
     the great circle through x along -u x.
     """
-    return _great_circle_sum(f, x, lambda pts: np.stack([left_mul_points(pts, -u) for u in (I, J, K)], axis=1), cfg)
+    return _great_circle_sum(f, x, lambda pts: np.stack([-_apply_axis_flat(pts, ax) for ax in AXES], axis=1), cfg)
 
 
 def laplace_beltrami_apply(f: PointFunction, y: SpherePoint | Array, cfg: FDConfig = FDConfig()):

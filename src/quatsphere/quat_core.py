@@ -1,4 +1,4 @@
-"""Quaternion arithmetic and geometry on the unit sphere of H^n.
+"""Geometry, sampling and pair invariants on the unit sphere of H^n.
 
 Points of H^n are stored as flat float64 vectors in R^{4n}, with each
 quaternion coordinate laid out as four consecutive reals (re, i, j, k).
@@ -10,7 +10,6 @@ which is what makes the kernel machinery BLAS-friendly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -39,137 +38,6 @@ _AXIS_MATRICES = {
 }
 
 
-@dataclass(frozen=True)
-class Quaternion:
-    """A quaternion a + b*i + c*j + d*k with real components."""
-
-    re: float = 0.0
-    im_i: float = 0.0
-    im_j: float = 0.0
-    im_k: float = 0.0
-
-    def conj(self) -> "Quaternion":
-        return Quaternion(self.re, -self.im_i, -self.im_j, -self.im_k)
-
-    def norm(self) -> float:
-        return math.sqrt(self.re**2 + self.im_i**2 + self.im_j**2 + self.im_k**2)
-
-    def as_array(self) -> Array:
-        return np.array([self.re, self.im_i, self.im_j, self.im_k], dtype=np.float64)
-
-    @classmethod
-    def from_array(cls, arr: Array) -> "Quaternion":
-        a, b, c, d = (float(t) for t in arr)
-        return cls(a, b, c, d)
-
-    def __add__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(
-            self.re + other.re,
-            self.im_i + other.im_i,
-            self.im_j + other.im_j,
-            self.im_k + other.im_k,
-        )
-
-    def __sub__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(
-            self.re - other.re,
-            self.im_i - other.im_i,
-            self.im_j - other.im_j,
-            self.im_k - other.im_k,
-        )
-
-    def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.re, -self.im_i, -self.im_j, -self.im_k)
-
-    def __mul__(self, other):
-        if isinstance(other, Quaternion):
-            return quat_mul(self, other)
-        return Quaternion(
-            self.re * other, self.im_i * other, self.im_j * other, self.im_k * other
-        )
-
-    def __rmul__(self, other):
-        # real scalars commute with everything
-        return Quaternion(
-            self.re * other, self.im_i * other, self.im_j * other, self.im_k * other
-        )
-
-    def isclose(self, other: "Quaternion", tol: float = 1e-12) -> bool:
-        return (self - other).norm() <= tol
-
-
-ONE = Quaternion(1.0)
-I = Quaternion(0.0, 1.0, 0.0, 0.0)
-J = Quaternion(0.0, 0.0, 1.0, 0.0)
-K = Quaternion(0.0, 0.0, 0.0, 1.0)
-
-
-def quat_mul(p: Quaternion, q: Quaternion) -> Quaternion:
-    """Hamilton product p*q (i*j = k, j*i = -k)."""
-    a, b, c, d = p.re, p.im_i, p.im_j, p.im_k
-    w, x, y, z = q.re, q.im_i, q.im_j, q.im_k
-    return Quaternion(
-        a * w - b * x - c * y - d * z,
-        a * x + b * w + c * z - d * y,
-        a * y - b * z + c * w + d * x,
-        a * z + b * y - c * x + d * w,
-    )
-
-
-def exp_imag(u: Quaternion, tol: float = 1e-12) -> Quaternion:
-    """exp(u) for purely imaginary u: cos|u| + (u/|u|) sin|u|."""
-    if abs(u.re) > tol:
-        raise ValueError(f"exp_imag requires a purely imaginary argument, got re={u.re}")
-    theta = math.sqrt(u.im_i**2 + u.im_j**2 + u.im_k**2)
-    if theta == 0.0:
-        return ONE
-    s = math.sin(theta) / theta
-    return Quaternion(math.cos(theta), u.im_i * s, u.im_j * s, u.im_k * s)
-
-
-class HVector:
-    """A vector (x_1, ..., x_n) in H^n, n >= 2, stored as an (n, 4) array."""
-
-    __slots__ = ("data",)
-
-    def __init__(self, coords: Sequence[Quaternion] | Array):
-        if isinstance(coords, np.ndarray):
-            data = np.asarray(coords, dtype=np.float64)
-            if data.ndim == 1:
-                if data.size % 4:
-                    raise ValueError("flat coordinate vector length must be 4n")
-                data = data.reshape(-1, 4)
-        else:
-            data = np.array([q.as_array() for q in coords], dtype=np.float64)
-        if data.ndim != 2 or data.shape[1] != 4 or data.shape[0] < 2:
-            raise ValueError(f"expected an (n, 4) layout with n >= 2, got {data.shape}")
-        self.data = data
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def coords(self) -> list[Quaternion]:
-        return [Quaternion.from_array(row) for row in self.data]
-
-    def flat(self) -> Array:
-        return self.data.reshape(-1)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
-
-
-def inner(x: HVector, y: HVector) -> Quaternion:
-    """Quaternionic inner product <x, y> = sum_i x_i * conj(y_i)."""
-    if x.n != y.n:
-        raise ValueError(f"length mismatch: {x.n} != {y.n}")
-    xf, yf = x.flat(), y.flat()
-    re = float(xf @ yf)
-    parts = [float(xf @ _apply_axis_flat(yf, ax)) for ax in AXES]
-    return Quaternion(re, *parts)
-
-
 def _apply_axis_flat(vec: Array, axis: str) -> Array:
     """Left-multiply every quaternion coordinate of a flat vector by i, j or k."""
     mat = _AXIS_MATRICES[axis]
@@ -177,20 +45,13 @@ def _apply_axis_flat(vec: Array, axis: str) -> Array:
     return (shaped @ mat.T).reshape(vec.shape)
 
 
-def left_mul_points(points: Array, q: Quaternion) -> Array:
-    """Left-multiply every quaternion coordinate of (..., 4n) points by q."""
-    mat = _left_mul_matrix(q.re, q.im_i, q.im_j, q.im_k)
-    shaped = points.reshape(*points.shape[:-1], -1, 4)
-    return (shaped @ mat.T).reshape(points.shape)
-
-
 class SpherePoint:
     """A point on the unit sphere of H^n; renormalized on construction."""
 
     __slots__ = ("vec",)
 
-    def __init__(self, v: HVector | Array):
-        flat = v.flat() if isinstance(v, HVector) else np.asarray(v, dtype=np.float64).reshape(-1)
+    def __init__(self, v: Array):
+        flat = np.asarray(v, dtype=np.float64).reshape(-1)
         if flat.size % 4 or flat.size < 8:
             raise ValueError("sphere points live in R^{4n} with n >= 2")
         nrm = float(np.linalg.norm(flat))
@@ -202,35 +63,12 @@ class SpherePoint:
     def n(self) -> int:
         return self.vec.size // 4
 
-    @property
-    def hvector(self) -> HVector:
-        return HVector(self.vec.copy())
-
-    def coords(self) -> list[Quaternion]:
-        return self.hvector.coords
-
     @classmethod
     def basis(cls, n: int, index: int = 0) -> "SpherePoint":
         """The point e_{index+1} = (0, ..., 1, ..., 0) with a real unit entry."""
         v = np.zeros(4 * n)
         v[4 * index] = 1.0
         return cls(v)
-
-
-def flow(x: SpherePoint, axis: str, t: float) -> SpherePoint:
-    """Left-translate x by the unit quaternion exp(-axis * t)."""
-    if axis not in AXES:
-        raise ValueError(f"axis must be one of {AXES}")
-    u = exp_imag(Quaternion(0.0, *(-t if a == axis else 0.0 for a in AXES)))
-    return SpherePoint(left_mul_points(x.vec, u))
-
-
-def flow_points(points: Array, axis: str, t: float) -> Array:
-    """Vectorized flow on an array of (..., 4n) sphere points."""
-    u = exp_imag(Quaternion(0.0, *(-t if a == axis else 0.0 for a in AXES)))
-    moved = left_mul_points(points, u)
-    # |exp(-axis*t)| = 1, so the flow is already norm-preserving
-    return moved
 
 
 def tangent_frame(y: SpherePoint | Array) -> Array:
@@ -247,14 +85,6 @@ def tangent_frame(y: SpherePoint | Array) -> Array:
     q, _ = np.linalg.qr(np.concatenate([seed_cols, np.broadcast_to(np.eye(dim), (count, dim, dim))], axis=2))
     frame = np.concatenate([axis_vecs, q[:, :, 4:dim].transpose(0, 2, 1)], axis=1)
     return frame[0] if isinstance(y, SpherePoint) else frame
-
-
-def geodesic(y: SpherePoint, e: Array, t: float, tol: float = 1e-8) -> SpherePoint:
-    """Great-circle point cos(t)*y + sin(t)*e for a unit tangent e at y."""
-    e = np.asarray(e, dtype=np.float64)
-    if abs(float(e @ y.vec)) > tol or abs(float(e @ e) - 1.0) > tol:
-        raise ValueError("geodesic direction must be a unit vector tangent at y")
-    return SpherePoint(math.cos(t) * y.vec + math.sin(t) * e)
 
 
 def geodesic_points(y: Array, e: Array, ts: Array) -> Array:
@@ -325,11 +155,6 @@ def sphere_samples(n: int, count: int, seed: int | Sequence[int]) -> Array:
     for _ in sphere_sample_chunks(n, count, seed, out=out):
         pass
     return out
-
-
-def sample_sphere(n: int, count: int, seed: int) -> list[SpherePoint]:
-    """Uniform sphere points wrapped as SpherePoint objects."""
-    return [SpherePoint(row) for row in sphere_samples(n, count, seed)]
 
 
 # ---------------------------------------------------------------------------

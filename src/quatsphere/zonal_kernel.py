@@ -23,23 +23,18 @@ which the verification module checks by Monte Carlo.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .ortho_poly import JacobiParams, binomial, cheb_u_scaled, jacobi_eval
-from .quat_core import Array, SpherePoint, pair_invariants, pair_invariants_matrix, sphere_samples
+from .quat_core import Array, SpherePoint, pair_invariants
 
 _SPREAD_LIMIT = 0.05
 
-# seed-stream tag so distinct random uses never collide
-_TAG_DIAG = 13
-
 
 class UnusableKernelError(ValueError):
-    """Raised when evaluating a kernel whose recorded spread marks it unusable."""
+    """Raised when evaluating a kernel whose spread marks it unusable."""
 
 
 def in_index_set(h: int, m: int) -> bool:
@@ -153,15 +148,13 @@ def raw_kernel(idx: KernelIndex, x: SpherePoint, y: SpherePoint) -> float:
 class CalibratedKernel:
     """Raw kernel together with the idempotency-fixing constant c.
 
-    A constant from calibrate() has spread 0; a cached record keeps the spread
-    it was stored with, and a spread of 5% or more marks the kernel unusable.
+    A constant from calibrate() has spread 0; a spread of 5% or more marks
+    the kernel unusable.
     """
 
     index: KernelIndex
     c: float
     spread: float
-    n_samples: int
-    seed: int
 
     @property
     def usable(self) -> bool:
@@ -199,43 +192,14 @@ class CalibratedKernel:
 
         return f
 
-    def to_record(self) -> dict:
-        return {
-            "c": self.c,
-            "spread": self.spread,
-            "N": self.n_samples,
-            "seed": self.seed,
-        }
-
-
-def kernel(ck: CalibratedKernel, x: SpherePoint, y: SpherePoint) -> float:
-    """Calibrated kernel value c * raw(x, y)."""
-    return ck(x, y)
-
-
-def kernel_dim(ck: CalibratedKernel, seed: int = 0) -> float:
-    """Diagonal value averaged over 10 random points.
-
-    The diagonal of a zonal kernel is constant, so this doubles as a zonality
-    sanity check; with the constant from calibrate() it is the dimension of
-    the eigenspace.
-    """
-    pts = sphere_samples(ck.index.n, 10, [seed, ck.index.h, ck.index.m, _TAG_DIAG])
-    a, s = pair_invariants_matrix(pts, pts)
-    vals = ck.c * raw_kernel_values(ck.index, np.diag(a), np.diag(s))
-    return float(np.mean(vals))
-
 
 def calibrate(idx: KernelIndex, n_samples: int, seed: int) -> CalibratedKernel:
     """The kernel constant c = dim(h, m) / raw(1, 1), exact up to rounding.
 
-    n_samples and seed go into the cache record, which reuses an entry only
-    for the same seed and at least the requested sample count.
+    Nothing is sampled: n_samples and seed are ignored.
     """
-    if n_samples < 10_000:
-        raise ValueError("calibration needs at least 1e4 Monte Carlo samples")
     c = idx.dimension / float(raw_kernel_values(idx, 1.0, 1.0))
-    return CalibratedKernel(index=idx, c=c, spread=0.0, n_samples=n_samples, seed=seed)
+    return CalibratedKernel(index=idx, c=c, spread=0.0)
 
 
 def index_range(n: int, h_max: int) -> list[KernelIndex]:
@@ -245,64 +209,6 @@ def index_range(n: int, h_max: int) -> list[KernelIndex]:
     ]
 
 
-def calibrate_bank(
-    n: int,
-    h_max: int,
-    n_samples: int,
-    seed: int,
-    cache: "KernelCache | None" = None,
-) -> dict[tuple[int, int], CalibratedKernel]:
+def calibrate_bank(n: int, h_max: int) -> dict[tuple[int, int], CalibratedKernel]:
     """Calibrated kernels for every index with h <= h_max, keyed by (h, m)."""
-    cks = [
-        calibrate(idx, n_samples, seed) if cache is None else cache.get_or_calibrate(idx, n_samples, seed)
-        for idx in index_range(n, h_max)
-    ]
-    if cache is not None:
-        cache.save()
-    return {(ck.index.h, ck.index.m): ck for ck in cks}
-
-
-class KernelCache:
-    """JSON sidecar persisting kernel constants across runs.
-
-    Entries are keyed "n/h/m" and hold {c, spread, N, seed}; a cached
-    entry is reused only when it was produced with at least the requested
-    sample count and the same seed.
-    """
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._entries: dict[str, dict] = {}
-        if self.path.exists():
-            self._entries = json.loads(self.path.read_text())
-
-    @staticmethod
-    def _key(idx: KernelIndex) -> str:
-        return f"{idx.n}/{idx.h}/{idx.m}"
-
-    def get(self, idx: KernelIndex) -> CalibratedKernel | None:
-        rec = self._entries.get(self._key(idx))
-        if rec is None:
-            return None
-        return CalibratedKernel(
-            index=idx,
-            c=float(rec["c"]),
-            spread=float(rec["spread"]),
-            n_samples=int(rec["N"]),
-            seed=int(rec["seed"]),
-        )
-
-    def put(self, ck: CalibratedKernel):
-        self._entries[self._key(ck.index)] = ck.to_record()
-
-    def get_or_calibrate(self, idx: KernelIndex, n_samples: int, seed: int) -> CalibratedKernel:
-        ck = self.get(idx)
-        if ck is not None and ck.n_samples >= n_samples and ck.seed == seed:
-            return ck
-        ck = calibrate(idx, n_samples, seed)
-        self.put(ck)
-        return ck
-
-    def save(self):
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.write_text(json.dumps(self._entries, sort_keys=True, indent=2) + "\n")
+    return {(idx.h, idx.m): calibrate(idx, 0, 0) for idx in index_range(n, h_max)}

@@ -5,13 +5,12 @@ from quatsphere import SpherePoint, calibrate_bank, sphere_samples
 BANK_N = 2
 BANK_H_MAX = 8
 BANK_SAMPLES = 200_000
-BANK_SEED = 2024
 
 
 @pytest.fixture(scope="session")
 def bank8():
-    """Calibrated kernels for n=2, h <= 8 at the acceptance-grade sample count."""
-    return calibrate_bank(BANK_N, BANK_H_MAX, BANK_SAMPLES, seed=BANK_SEED)
+    """Exact kernels for n=2, h <= 8."""
+    return calibrate_bank(BANK_N, BANK_H_MAX)
 
 
 @pytest.fixture(scope="session")

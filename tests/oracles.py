@@ -1,0 +1,48 @@
+"""Reference implementations the tests compare the library against.
+
+Each computes its quantity the obvious way, one quaternion at a time, from
+the Hamilton product quat_core._left_mul_matrix, which test_quat_core checks
+against i j = k and its relatives.  Quaternions are 4-vectors (re, i, j, k).
+"""
+
+import math
+
+import numpy as np
+
+from quatsphere.quat_core import AXES, _left_mul_matrix
+
+
+def conj(q):
+    """Quaternion conjugate of a (..., 4) array."""
+    return q * np.array([1.0, -1.0, -1.0, -1.0])
+
+
+def left_mul(points, q):
+    """Left-multiply every quaternion coordinate of (..., 4n) points by the quaternion q."""
+    shaped = points.reshape(*points.shape[:-1], -1, 4)
+    return (shaped @ _left_mul_matrix(*q).T).reshape(points.shape)
+
+
+def inner(x, y):
+    """Quaternionic inner product <x, y> = sum_i x_i conj(y_i) of two flat vectors."""
+    if x.shape != y.shape:
+        raise ValueError(f"length mismatch: {x.shape} != {y.shape}")
+    return sum(_left_mul_matrix(*xi) @ conj(yi) for xi, yi in zip(x.reshape(-1, 4), y.reshape(-1, 4)))
+
+
+def exp_imag(u, tol=1e-12):
+    """exp(u) for purely imaginary u: cos|u| + (u/|u|) sin|u|."""
+    if abs(u[0]) > tol:
+        raise ValueError(f"exp_imag requires a purely imaginary argument, got re={u[0]}")
+    theta = math.sqrt(u[1] ** 2 + u[2] ** 2 + u[3] ** 2)
+    if theta == 0.0:
+        return np.array([1.0, 0.0, 0.0, 0.0])
+    s = math.sin(theta) / theta
+    return np.array([math.cos(theta), u[1] * s, u[2] * s, u[3] * s])
+
+
+def flow_points(points, axis, t):
+    """(..., 4n) points moved along the flow x -> exp(-axis t) x."""
+    u = np.zeros(4)
+    u[1 + AXES.index(axis)] = -t
+    return left_mul(points, exp_imag(u))

@@ -28,7 +28,7 @@ from quatsphere.verification import _product_integrals, _TAG_PRODUCT
 from quatsphere.zonal_kernel import index_range
 from quatsphere.quat_core import seeded_rng
 
-from .conftest import BANK_SAMPLES, BANK_SEED
+from .conftest import BANK_SAMPLES
 
 EPSILON = 0.1
 
@@ -76,7 +76,7 @@ def test_criterion_2_l1_l2_identity():
 
 def test_criterion_3_calibration_self_consistency():
     t0 = time.monotonic()
-    bank6 = calibrate_bank(2, 6, BANK_SAMPLES, seed=BANK_SEED)
+    bank6 = calibrate_bank(2, 6)
     elapsed = time.monotonic() - t0
     worst_spread = max(ck.spread for ck in bank6.values())
     worst_int_dev = 0.0
@@ -199,9 +199,7 @@ def test_criterion_8_contrapositive_consistency(bank8, x0):
 
 
 def test_criterion_9_verify_determinism(tmp_path):
-    cache = tmp_path / "cache.json"
-    args = ["verify", "--n", "2", "--h-max", "3", "--mc-samples", "20000", "--seed", "5",
-            "--cache", str(cache)]
+    args = ["verify", "--n", "2", "--h-max", "3", "--mc-samples", "20000", "--seed", "5"]
     out1, out2 = tmp_path / "v1.json", tmp_path / "v2.json"
     rc1 = main([*args, "--out", str(out1)])
     rc2 = main([*args, "--out", str(out2)])

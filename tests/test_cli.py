@@ -1,9 +1,11 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from quatsphere import gen_subsphere, gen_uniform, verification
+from quatsphere import calibrate_bank, cli, gen_subsphere, gen_uniform, verification
 from quatsphere.cli import (
     RunConfig,
     UsageError,
@@ -16,6 +18,7 @@ from quatsphere.cli import (
 from quatsphere.diffops import DegenerateProbesError
 from quatsphere.zonal_kernel import index_range, raw_kernel_values
 
+DATA = Path(__file__).parent / "data"
 FAST = ["--n", "2", "--h-max", "3", "--mc-samples", "20000", "--seed", "5"]
 
 
@@ -45,12 +48,15 @@ class TestRunConfig:
             RunConfig(n=1)
         with pytest.raises(UsageError):
             RunConfig(epsilon=0.5)
+        for probes in (0, -3):
+            with pytest.raises(UsageError, match=f"probes must be positive, got {probes}"):
+                RunConfig(probes=probes)
 
     def test_config_file_overrides(self, tmp_path):
         p = tmp_path / "run.cfg"
-        p.write_text("# comment\nn=3\nepsilon=0.2\ncache_path=other.json\n")
+        p.write_text("# comment\nn=3\nepsilon=0.2\noutput_path=other.json\n")
         cfg = load_config_file(str(p))
-        assert cfg == {"n": 3, "epsilon": 0.2, "cache_path": "other.json"}
+        assert cfg == {"n": 3, "epsilon": 0.2, "output_path": "other.json"}
 
     def test_config_file_errors(self, tmp_path):
         p = tmp_path / "run.cfg"
@@ -59,6 +65,9 @@ class TestRunConfig:
             load_config_file(str(p))
         p.write_text("unknown_key=3\n")
         with pytest.raises(UsageError):
+            load_config_file(str(p))
+        p.write_text("cache_path=c.json\n")
+        with pytest.raises(UsageError, match="unknown key 'cache_path'"):
             load_config_file(str(p))
 
 
@@ -112,20 +121,10 @@ class TestFixtures:
 
 
 class TestCommands:
-    def test_calibrate_cache_byte_identical(self, tmp_path):
-        cache = tmp_path / "cache.json"
-        assert main(["calibrate", *FAST, "--cache", str(cache)]) == 0
-        first = cache.read_bytes()
-        assert main(["calibrate", *FAST, "--cache", str(cache)]) == 0
-        assert cache.read_bytes() == first
-        # 2m <= h <= 3 has 6 indices
-        assert len(json.loads(first)) == 6
-
     def test_verify_ok_and_deterministic(self, tmp_path):
-        cache = tmp_path / "cache.json"
         out1, out2 = tmp_path / "v1.json", tmp_path / "v2.json"
-        assert main(["verify", *FAST, "--cache", str(cache), "--out", str(out1)]) == 0
-        assert main(["verify", *FAST, "--cache", str(cache), "--out", str(out2)]) == 0
+        assert main(["verify", *FAST, "--out", str(out1)]) == 0
+        assert main(["verify", *FAST, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
         summary = json.loads(out1.read_text())
         assert summary["all_passed"]
@@ -142,42 +141,64 @@ class TestCommands:
     def test_verify_summary_is_pinned(self, tmp_path, n):
         # byte for byte: any change to the passing output of verify fails here
         out = tmp_path / "v.json"
-        args = ["--n", str(n), "--h-max", "6", "--seed", "3", "--cache", str(tmp_path / "c.json")]
+        args = ["--n", str(n), "--h-max", "6", "--seed", "3"]
         assert main(["verify", *args, "--out", str(out)]) == 0
         assert out.read_text() == json.dumps(passing_verify_summary(n), sort_keys=True, indent=2) + "\n"
 
-    def test_corrupted_cache_fails_idempotency(self, tmp_path, capsys):
-        cache = tmp_path / "cache.json"
-        assert main(["calibrate", *FAST, "--cache", str(cache)]) == 0
-        blob = json.loads(cache.read_text())
-        blob["2/2/1"]["c"] *= 1.5
-        cache.write_text(json.dumps(blob))
-        rc = main(["verify", *FAST, "--cache", str(cache), "--out", str(tmp_path / "v.json")])
+    def test_verify_writes_only_its_out_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify", *FAST, "--out", "v.json"]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["v.json"]
+
+    @pytest.mark.parametrize(
+        "argv, files",
+        [
+            (["spectrum", "uniform", "--n", "2", "--h-max", "6", "--atoms", "2000", "--seed", "1"],
+             ["spectrum_uniform.csv", "spectrum_uniform.json"]),
+            (["multiplier", "point", "--n", "2", "--h-max", "8", "--seed", "1"], ["multiplier_point.json"]),
+            (["report", "subsphere:1", "--n", "2", "--h-max", "6", "--atoms", "4000", "--seed", "1"],
+             ["report_subsphere.json"]),
+        ],
+    )
+    def test_outputs_are_pinned(self, tmp_path, argv, files):
+        # byte for byte: any change to these seeded outputs fails here
+        out = tmp_path / files[0].rsplit(".", 1)[0]
+        assert main([*argv, "--out", str(out)]) == 0
+        for name in files:
+            assert (tmp_path / name).read_bytes() == (DATA / f"cli_{name}").read_bytes(), name
+
+    def test_spectrum_runs_in_an_empty_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["spectrum", "uniform", *FAST, "--atoms", "500"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spectrum.csv", "spectrum.json"]
+
+    def test_corrupted_constant_fails_idempotency(self, tmp_path, capsys, monkeypatch):
+        def corrupted(n, h_max):
+            bank = calibrate_bank(n, h_max)
+            bank[(2, 1)] = dataclasses.replace(bank[(2, 1)], c=1.5 * bank[(2, 1)].c)
+            return bank
+
+        monkeypatch.setattr(cli, "calibrate_bank", corrupted)
+        rc = main(["verify", *FAST, "--out", str(tmp_path / "v.json")])
         assert rc == 1
         assert "idempotency" in capsys.readouterr().err
 
     def test_out_of_domain_step_is_rejected(self, tmp_path, capsys):
         # steps beyond the FD domain cannot silently degrade the eigencheck
-        cache = tmp_path / "cache.json"
-        rc = main(["verify", *FAST, "--cache", str(cache), "--fd-step", "0.5",
-                   "--out", str(tmp_path / "v.json")])
+        rc = main(["verify", *FAST, "--fd-step", "0.5", "--out", str(tmp_path / "v.json")])
         assert rc == 2
         assert "fd_step" in capsys.readouterr().err
 
     def test_verify_at_h_max_0_names_the_cause(self, tmp_path, capsys):
         # (0, 0) is the only index, so no distinct pair can be drawn
-        rc = main(["verify", "--n", "2", "--h-max", "0", "--seed", "1", "--cache", str(tmp_path / "c.json"),
-                   "--out", str(tmp_path / "v.json")])
+        rc = main(["verify", "--n", "2", "--h-max", "0", "--seed", "1", "--out", str(tmp_path / "v.json")])
         assert rc == 2
         assert capsys.readouterr().err == "error: orthogonality needs two distinct indices, but h_max 0 gives only (0,0)\n"
         assert not (tmp_path / "v.json").exists()
 
     def test_spectrum_uniform(self, tmp_path):
-        cache = tmp_path / "cache.json"
         out = tmp_path / "scan"
-        assert main(["calibrate", *FAST, "--cache", str(cache)]) == 0
-        rc = main(["spectrum", "uniform", *FAST, "--atoms", "5000",
-                   "--cache", str(cache), "--out", str(out)])
+        rc = main(["spectrum", "uniform", *FAST, "--atoms", "5000", "--out", str(out)])
         assert rc == 0
         rows = (tmp_path / "scan.csv").read_text().splitlines()
         assert rows[0] == "h,m,in_cone,norm_sq,mc_stderr,flagged_nonzero"
@@ -187,13 +208,10 @@ class TestCommands:
         assert len(blob["entries"]) == 6
 
     def test_spectrum_on_measure_file(self, tmp_path):
-        cache = tmp_path / "cache.json"
         mu = gen_subsphere(2, 1, 4000, seed=6)
         mfile = tmp_path / "sub.txt"
         save_measure(mu, mfile)
-        assert main(["calibrate", *FAST, "--cache", str(cache)]) == 0
-        rc = main(["spectrum", str(mfile), *FAST, "--cache", str(cache),
-                   "--out", str(tmp_path / "s2")])
+        rc = main(["spectrum", str(mfile), *FAST, "--out", str(tmp_path / "s2")])
         assert rc == 0
         blob = json.loads((tmp_path / "s2.json").read_text())
         flagged = [(e["h"], e["m"]) for e in blob["entries"] if e["flagged_nonzero"]]
@@ -211,67 +229,39 @@ class TestCommands:
         assert len(fit_rows) > 3
 
     def test_report_point_mass(self, tmp_path):
-        cache = tmp_path / "cache.json"
         base = ["--n", "2", "--h-max", "6", "--mc-samples", "50000", "--seed", "5"]
-        assert main(["calibrate", *base, "--cache", str(cache)]) == 0
-        rc = main(["report", "point", *base,
-                   "--cache", str(cache), "--out", str(tmp_path / "rep")])
+        rc = main(["report", "point", *base, "--out", str(tmp_path / "rep")])
         assert rc == 0
         blob = json.loads((tmp_path / "rep.json").read_text())
         assert blob["cone_condition_plausible"] is False
         assert blob["consistent"] is True
 
     def test_multiplier_outputs(self, tmp_path):
-        cache = tmp_path / "cache.json"
-        assert main(["calibrate", *FAST, "--cache", str(cache)]) == 0
-        rc = main(["multiplier", "point", *FAST, "--cache", str(cache),
-                   "--out", str(tmp_path / "mult")])
+        rc = main(["multiplier", "point", *FAST, "--out", str(tmp_path / "mult")])
         assert rc == 0
         blob = json.loads((tmp_path / "mult.json").read_text())
         assert "last_shell_magnitude" in blob and len(blob["values"]) == 64
 
-    def test_missing_cache_instructs_calibrate(self, tmp_path, capsys):
-        rc = main(["spectrum", "uniform", *FAST, "--atoms", "500",
-                   "--cache", str(tmp_path / "none.json"), "--out", str(tmp_path / "s")])
-        assert rc == 2
-        assert "calibrate" in capsys.readouterr().err
-
     def test_invalid_parameter_is_usage_error(self, tmp_path, capsys):
-        # calibrate() rejects fewer than 1e4 samples with a ValueError
-        rc = main(["calibrate", "--n", "2", "--h-max", "1", "--mc-samples", "100",
-                   "--cache", str(tmp_path / "c.json")])
+        # a ValueError from the library: one Monte Carlo sample has no variance
+        rc = main(["verify", "--n", "2", "--h-max", "1", "--mc-samples", "1", "--out", str(tmp_path / "v.json")])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error: calibration needs")
+        assert capsys.readouterr().err == "error: a Monte Carlo product needs at least 2 samples, got 1\n"
 
-    def test_calibrate_gives_exact_dimensions(self, tmp_path):
+    def test_calibrate_gives_exact_dimensions(self):
         # the Monte Carlo fit this replaced could not fit (6, 0) at 1e4 samples
-        cache = tmp_path / "c.json"
-        rc = main(["calibrate", "--n", "2", "--h-max", "12", "--mc-samples", "10000", "--seed", "1",
-                   "--cache", str(cache)])
-        assert rc == 0
-        blob = json.loads(cache.read_text())
-        assert len(blob) == len(index_range(2, 12))
+        bank = cli._bank(RunConfig(n=2, h_max=12, mc_samples=10_000, seed=1))
+        assert len(bank) == len(index_range(2, 12))
         for idx in index_range(2, 12):
-            diag = blob[f"2/{idx.h}/{idx.m}"]["c"] * float(raw_kernel_values(idx, 1.0, 1.0))
+            diag = bank[(idx.h, idx.m)].c * float(raw_kernel_values(idx, 1.0, 1.0))
             assert diag == pytest.approx(idx.dimension, rel=1e-12), idx
-
-    def test_unusable_kernel_is_check_failure(self, tmp_path, capsys):
-        cache = tmp_path / "cache.json"
-        assert main(["calibrate", *FAST, "--cache", str(cache)]) == 0
-        blob = json.loads(cache.read_text())
-        blob["2/2/1"]["spread"] = 0.5
-        cache.write_text(json.dumps(blob))
-        rc = main(["spectrum", "uniform", *FAST, "--atoms", "500",
-                   "--cache", str(cache), "--out", str(tmp_path / "s")])
-        assert rc == 1
-        assert "error: kernel KernelIndex(h=2, m=1, n=2) flagged unusable" in capsys.readouterr().err
 
     def test_degenerate_probes_are_check_failure(self, tmp_path, capsys, monkeypatch):
         def degenerate(ck, *args, **kwargs):
             raise DegenerateProbesError(f"no probe with |f| above 0.1*max for {ck.index}")
 
         monkeypatch.setattr(verification, "eigencheck", degenerate)
-        rc = main(["verify", *FAST, "--cache", str(tmp_path / "c.json"), "--out", str(tmp_path / "v.json")])
+        rc = main(["verify", *FAST, "--out", str(tmp_path / "v.json")])
         assert rc == 1
         assert "error: no probe with |f| above 0.1*max for KernelIndex(h=0, m=0, n=2)" in capsys.readouterr().err
 
@@ -281,14 +271,18 @@ class TestCommands:
         assert rc == 2
 
     def test_missing_measure_is_usage_error(self, tmp_path):
-        rc = main(["spectrum", str(tmp_path / "absent.txt"), *FAST,
-                   "--cache", str(tmp_path / "c.json")])
+        rc = main(["spectrum", str(tmp_path / "absent.txt"), *FAST])
         assert rc == 2
+
+    def test_removed_options_are_rejected(self):
+        for argv in (["calibrate", "--n", "2"], ["verify", "--cache", "c.json"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
     def test_config_file_plumbs_through(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("n=2\nh_max=2\nmc_samples=20000\nseed=5\n")
-        cache = tmp_path / "cache.json"
-        rc = main(["calibrate", "--config", str(cfgfile), "--cache", str(cache)])
+        cfgfile.write_text("n=2\nh_max=2\nmc_samples=20000\nseed=5\natoms=300\n")
+        rc = main(["spectrum", "uniform", "--config", str(cfgfile), "--out", str(tmp_path / "s")])
         assert rc == 0
-        assert len(json.loads(cache.read_text())) == 4
+        assert len(json.loads((tmp_path / "s.json").read_text())["entries"]) == 4

@@ -10,11 +10,12 @@ from quatsphere import (
     l1_l2_identity,
     laplace_beltrami_apply,
     sphere_samples,
-    t_axis,
 )
 from quatsphere.diffops import DegenerateProbesError
-from quatsphere.quat_core import _apply_axis_flat, flow_points
+from quatsphere.quat_core import _apply_axis_flat
 from quatsphere.zonal_kernel import index_range
+
+from .oracles import flow_points
 
 
 def const_fn(value=2.5):
@@ -78,33 +79,6 @@ def test_fd_config_validation():
         FDConfig(step=0.5)
     with pytest.raises(ValueError):
         FDConfig(step=1e-5)
-
-
-class TestTAxis:
-    def test_constant(self):
-        x = SpherePoint(sphere_samples(2, 1, 1)[0])
-        assert abs(t_axis(const_fn(), x, "i")) <= 1e-12
-
-    def test_real_part_critical_at_basis(self):
-        # f(y) = Re y_1 along the i-flow from e1 is cos(t): derivative 0
-        f = lambda pts: pts[..., 0]
-        e1 = SpherePoint.basis(2)
-        assert abs(t_axis(f, e1, "i")) <= 1e-10
-
-    def test_flow_direction_sign(self):
-        # f(y) = Im_i y_1 along the i-flow from e1 is -sin(t): derivative -1
-        f = lambda pts: pts[..., 1]
-        e1 = SpherePoint.basis(2)
-        assert abs(t_axis(f, e1, "i") + 1.0) <= 1e-8
-
-    def test_linearity(self):
-        x = SpherePoint(sphere_samples(2, 1, 2)[0])
-        f = lambda pts: pts[..., 0] * pts[..., 5]
-        g = lambda pts: pts[..., 3] ** 2
-        combo = lambda pts: 2.0 * f(pts) - 0.7 * g(pts)
-        lhs = t_axis(combo, x, "j")
-        rhs = 2.0 * t_axis(f, x, "j") - 0.7 * t_axis(g, x, "j")
-        assert abs(lhs - rhs) <= 1e-10
 
 
 class TestOperators:
@@ -196,7 +170,7 @@ class TestEigencheck:
 
 @pytest.fixture(scope="module")
 def bank_n3():
-    return calibrate_bank(3, 6, 10_000, seed=1)
+    return calibrate_bank(3, 6)
 
 
 class TestBatchedStencils:

@@ -9,7 +9,6 @@ from quatsphere import (
     SpherePoint,
     calibrate,
     eigencheck,
-    kernel_dim,
     sphere_samples,
     tangent_frame,
 )
@@ -35,9 +34,11 @@ def test_s11_eigenvalues(bank_n3):
 
 
 def test_s11_dimensions(bank_n3):
-    # degree-1 harmonics on S^11 span R^12
-    assert kernel_dim(bank_n3[(1, 0)]) == pytest.approx(12.0, rel=0.02)
-    assert kernel_dim(bank_n3[(2, 1)]) == pytest.approx(14.0, rel=0.02)
+    # degree-1 harmonics on S^11 span R^12; K(x, x) is the dimension at every x
+    pts = [SpherePoint(p) for p in sphere_samples(3, 10, [3])]
+    for key, dim in [((1, 0), 12.0), ((2, 1), 14.0)]:
+        for x in pts:
+            assert bank_n3[key](x, x) == pytest.approx(dim, rel=1e-12)
 
 
 def test_s11_frame_shape():

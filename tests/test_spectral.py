@@ -15,7 +15,6 @@ from quatsphere import (
     gen_point_mass,
     gen_uniform,
     in_cone,
-    kernel,
     project,
     project_values,
     psi,
@@ -127,7 +126,7 @@ class TestProject:
         ck = bank8[(3, 1)]
         mu = gen_point_mass(x0)
         x = SpherePoint(sphere_samples(2, 1, 12)[0])
-        assert project(mu, ck, x) == pytest.approx(kernel(ck, x, x0), abs=1e-12)
+        assert project(mu, ck, x) == pytest.approx(ck(x, x0), abs=1e-12)
 
     def test_constant_component_of_point_mass(self, bank8, x0):
         assert project(gen_point_mass(x0), bank8[(0, 0)], x0) == pytest.approx(1.0, rel=2e-2)

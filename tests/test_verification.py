@@ -90,7 +90,7 @@ class TestSharedSamples:
         # n = 3, 2e5 samples: the whole sample set alone is 18.3 MiB, and
         # drawing and holding it peaked at 25.3 MiB; streamed, the peak is
         # one chunk and the block buffers, about 10 MiB
-        bank = calibrate_bank(3, 6, 10_000, 0)
+        bank = calibrate_bank(3, 6)
         tracemalloc.start()
         try:
             result = verification.check_orthogonality(bank, 3, 6, 200_000, 1)
