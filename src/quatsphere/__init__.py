@@ -37,7 +37,6 @@ from .spectral import (
     apply_multiplier,
     cone_gap_check,
     in_cone,
-    project,
     project_values,
     psi,
     spectrum_scan,

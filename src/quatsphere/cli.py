@@ -1,9 +1,17 @@
 """Command-line entry point for verification, scans, multipliers and reports.
 
-Measure files are plain text: a header line "# n=<n>" followed by one atom
-per line as 4n+1 comma-separated reals (ambient coordinates, then weight).
-In place of a file, the built-in fixtures uniform | point | subsphere:<k> |
-sp1-orbit may be named directly; they are generated from (n, atoms, seed).
+Each command takes only the options it reads (the COMMANDS table): verify
+takes --n --h-max --epsilon --mc-samples --seed --fd-step --out; spectrum,
+multiplier and report take a measure and --n --h-max --epsilon --probes
+--seed --atoms --out; dimension takes a measure and --n --seed --atoms --out.
+Each also takes --config FILE, flat key=value lines keyed by the RunConfig
+field names of those options (output_path for --out); flags win over the
+file.  Any other flag or key is a usage error.
+
+A measure is a file (a header line "# n=<n>", then one atom per line as 4n+1
+comma-separated reals: ambient coordinates, then weight) or one of the
+built-in fixtures uniform | point | subsphere:<k> | sp1-orbit, generated
+from (n, atoms, seed).
 
 Every command builds the kernels it needs from their exact constants, so no
 command depends on an earlier run.
@@ -18,9 +26,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -52,43 +62,30 @@ class RunConfig:
     h_max: int = 12
     epsilon: float = 0.1
     mc_samples: int = 200_000
-    probes: int | None = None
+    probes: int = 384
     seed: int = 0
     fd_step: float = 1e-2
-    output_path: str | None = None
     atoms: int = 20_000
+    output_path: str = ""
 
     def __post_init__(self):
-        if self.n < 2:
-            raise UsageError("n must be at least 2")
-        if self.h_max < 0 or self.mc_samples < 1 or self.seed < 0:
-            raise UsageError("h_max, mc_samples must be positive and seed non-negative")
+        for name, least in (("n", 2), ("h_max", 0), ("mc_samples", 1), ("probes", 1), ("seed", 0), ("atoms", 1)):
+            if getattr(self, name) < least:
+                words = {0: "non-negative", 1: "positive"}.get(least, f"at least {least}")
+                raise UsageError(f"{name} must be {words}, got {getattr(self, name)}")
         if not 0.0 < self.epsilon < 0.5:
-            raise UsageError("epsilon must lie in (0, 1/2)")
+            raise UsageError(f"epsilon must lie in (0, 1/2), got {self.epsilon}")
         if not 1e-4 <= self.fd_step <= 1e-1:
-            raise UsageError("fd_step must lie in [1e-4, 1e-1]")
-        if self.atoms < 1:
-            raise UsageError("atoms must be positive")
-        if self.probes is not None and self.probes < 1:
-            raise UsageError(f"probes must be positive, got {self.probes}")
-
-    def probe_count(self, default: int) -> int:
-        return self.probes if self.probes is not None else default
+            raise UsageError(f"fd_step must lie in [1e-4, 1e-1], got {self.fd_step}")
 
 
-_CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+# every option parses as the type of its default
+_TYPES = {f.name: type(f.default) for f in dataclasses.fields(RunConfig)}
 
 
-def _coerce(name: str, value: str):
-    if name in ("epsilon", "fd_step"):
-        return float(value)
-    if name == "output_path":
-        return value
-    return int(value)
-
-
-def load_config_file(path: str) -> dict:
-    """Flat key=value config; keys match RunConfig field names."""
+def load_config_file(path: str, command: str) -> dict:
+    """Flat key=value config; keys are the RunConfig fields `command` reads."""
+    options = COMMANDS[command].options
     out = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
@@ -98,10 +95,12 @@ def load_config_file(path: str) -> dict:
             raise UsageError(f"{path}:{lineno}: expected key=value")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _CONFIG_FIELDS:
+        if key not in _TYPES:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+        if key not in options:
+            raise UsageError(f"{path}:{lineno}: {command} does not read key {key!r}")
         try:
-            out[key] = _coerce(key, value.strip())
+            out[key] = _TYPES[key](value.strip())
         except ValueError as exc:
             raise UsageError(f"{path}:{lineno}: {exc}") from None
     return out
@@ -127,6 +126,8 @@ def load_measure(path: str | Path) -> DiscreteMeasure:
         n = int(lines[0].strip()[4:])
     except ValueError:
         raise UsageError(f"{path}:1: malformed header {lines[0]!r}") from None
+    if n < 2:
+        raise UsageError(f"{path}:1: n must be at least 2, got {n}")
     width = 4 * n + 1
     rows, weights = [], []
     for lineno, line in enumerate(lines[1:], start=2):
@@ -140,6 +141,10 @@ def load_measure(path: str | Path) -> DiscreteMeasure:
             vals = [float(p) for p in parts]
         except ValueError as exc:
             raise UsageError(f"{path}:{lineno}: {exc}") from None
+        if not all(map(math.isfinite, vals)):
+            raise UsageError(f"{path}:{lineno}: values must be finite")
+        if not any(vals[:-1]):
+            raise UsageError(f"{path}:{lineno}: atom is the zero vector")
         rows.append(vals[:-1])
         weights.append(vals[-1])
     if not rows:
@@ -167,17 +172,16 @@ def resolve_measure(name: str, cfg: RunConfig) -> DiscreteMeasure:
             k = int(name.split(":", 1)[1])
         except ValueError:
             raise UsageError(f"malformed fixture name {name!r}") from None
-        try:
-            return gen_subsphere(cfg.n, k, cfg.atoms, cfg.seed)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        return gen_subsphere(cfg.n, k, cfg.atoms, cfg.seed)  # a ValueError for a bad k exits 2 from main
     if Path(name).exists():
         return load_measure(name)
     raise UsageError(f"{name!r} is neither a fixture name nor an existing file")
 
 
-def _bank(cfg: RunConfig):
-    """The exact kernel of every index up to h_max."""
+def _bank(cfg: RunConfig, measure: DiscreteMeasure | None = None):
+    """The exact kernel of every index up to h_max; a measure must live in the same dimension n."""
+    if measure is not None and measure.n != cfg.n:
+        raise UsageError(f"measure has n={measure.n} but config says n={cfg.n}")
     return calibrate_bank(cfg.n, cfg.h_max)
 
 
@@ -216,14 +220,11 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_spectrum(measure_name: str, cfg: RunConfig) -> int:
-    measure = resolve_measure(measure_name, cfg)
-    if measure.n != cfg.n:
-        raise UsageError(f"measure has n={measure.n} but config says n={cfg.n}")
-    bank = _bank(cfg)
+def cmd_spectrum(measure: DiscreteMeasure, cfg: RunConfig) -> int:
+    bank = _bank(cfg, measure)
     report = spectrum_scan(
         measure, bank, cfg.h_max, cfg.epsilon,
-        probes=cfg.probe_count(384), seed=cfg.seed,
+        probes=cfg.probes, seed=cfg.seed,
     )
     base = _out_base(cfg, "spectrum")
     report.write_csv(base.with_suffix(".csv"))
@@ -234,12 +235,9 @@ def cmd_spectrum(measure_name: str, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_multiplier(measure_name: str, cfg: RunConfig) -> int:
-    measure = resolve_measure(measure_name, cfg)
-    if measure.n != cfg.n:
-        raise UsageError(f"measure has n={measure.n} but config says n={cfg.n}")
-    bank = _bank(cfg)
-    xs = sphere_samples(cfg.n, cfg.probe_count(64), [cfg.seed, _TAG_MULT])
+def cmd_multiplier(measure: DiscreteMeasure, cfg: RunConfig) -> int:
+    bank = _bank(cfg, measure)
+    xs = sphere_samples(cfg.n, cfg.probes, [cfg.seed, _TAG_MULT])
     result = apply_multiplier(measure, bank, cfg.epsilon, cfg.h_max, xs)
     base = _out_base(cfg, "multiplier")
     _write_json(
@@ -257,8 +255,7 @@ def cmd_multiplier(measure_name: str, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_dimension(measure_name: str, cfg: RunConfig) -> int:
-    measure = resolve_measure(measure_name, cfg)
+def cmd_dimension(measure: DiscreteMeasure, cfg: RunConfig) -> int:
     est = correlation_dimension(measure, seed=cfg.seed)
     base = _out_base(cfg, "dimension")
     _write_json(base.with_suffix(".json"), est.to_json_dict())
@@ -271,14 +268,11 @@ def cmd_dimension(measure_name: str, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_report(measure_name: str, cfg: RunConfig) -> int:
-    measure = resolve_measure(measure_name, cfg)
-    if measure.n != cfg.n:
-        raise UsageError(f"measure has n={measure.n} but config says n={cfg.n}")
-    bank = _bank(cfg)
+def cmd_report(measure: DiscreteMeasure, cfg: RunConfig) -> int:
+    bank = _bank(cfg, measure)
     report = theorem_consistency_report(
         measure, bank, cfg.epsilon, cfg.h_max, seed=cfg.seed,
-        probes=cfg.probe_count(384),
+        probes=cfg.probes,
     )
     base = _out_base(cfg, "report")
     _write_json(base.with_suffix(".json"), report.to_json_dict())
@@ -292,68 +286,65 @@ def cmd_report(measure_name: str, cfg: RunConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument plumbing
+# the command table and argument plumbing
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--n", type=int)
-    p.add_argument("--h-max", dest="h_max", type=int)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--mc-samples", dest="mc_samples", type=int)
-    p.add_argument("--probes", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--fd-step", dest="fd_step", type=float)
-    p.add_argument("--out", dest="output_path")
-    p.add_argument("--atoms", type=int, help="atom count for generated fixtures")
+@dataclass(frozen=True)
+class Command:
+    run: Callable[..., int]  # run(cfg), or run(measure, cfg) when it takes a measure
+    takes_measure: bool
+    options: tuple[str, ...]  # the RunConfig fields it reads, in --help order
+    defaults: dict = dataclasses.field(default_factory=dict)  # where they differ from RunConfig's
+
+
+_MEASURE_OPTIONS = ("n", "h_max", "epsilon", "probes", "seed", "atoms", "output_path")
+
+COMMANDS = {
+    "verify": Command(cmd_verify, False, ("n", "h_max", "epsilon", "mc_samples", "seed", "fd_step", "output_path")),
+    "spectrum": Command(cmd_spectrum, True, _MEASURE_OPTIONS),
+    "multiplier": Command(cmd_multiplier, True, _MEASURE_OPTIONS, {"probes": 64}),
+    "dimension": Command(cmd_dimension, True, ("n", "seed", "atoms", "output_path")),
+    "report": Command(cmd_report, True, _MEASURE_OPTIONS),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="quatsphere", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_measure in [
-        ("verify", False),
-        ("spectrum", True),
-        ("multiplier", True),
-        ("dimension", True),
-        ("report", True),
-    ]:
+    for name, command in COMMANDS.items():
         p = sub.add_parser(name)
-        if needs_measure:
+        if command.takes_measure:
             p.add_argument("measure", help="fixture name or measure file")
-        _add_common(p)
+        p.add_argument("--config", help="flat key=value config file")
+        for option in command.options:
+            flag = "--out" if option == "output_path" else "--" + option.replace("_", "-")
+            p.add_argument(flag, dest=option, type=_TYPES[option])
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    values = {}
+    command = COMMANDS[args.command]
+    values = dict(command.defaults)
     if args.config:
         if not Path(args.config).exists():
             raise UsageError(f"config file {args.config!r} not found")
-        values.update(load_config_file(args.config))
-    for name in _CONFIG_FIELDS:
-        given = getattr(args, name, None)
+        values.update(load_config_file(args.config, args.command))
+    for option in command.options:
+        given = getattr(args, option)
         if given is not None:
-            values[name] = given
+            values[option] = given
     return RunConfig(**values)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
     try:
         cfg = config_from_args(args)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        if args.command == "spectrum":
-            return cmd_spectrum(args.measure, cfg)
-        if args.command == "multiplier":
-            return cmd_multiplier(args.measure, cfg)
-        if args.command == "dimension":
-            return cmd_dimension(args.measure, cfg)
-        if args.command == "report":
-            return cmd_report(args.measure, cfg)
-        raise UsageError(f"unknown command {args.command!r}")
+        if command.takes_measure:
+            return command.run(resolve_measure(args.measure, cfg), cfg)
+        return command.run(cfg)
     except DegenerateProbesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -23,6 +23,8 @@ from .zonal_kernel import CalibratedKernel
 PointFunction = Callable[[Array], Array]
 
 _TAG_EIGEN = 21
+# uniform candidates drawn per eigencheck, before the |f| filter
+_POOL_SIZE = 128
 
 
 class DegenerateProbesError(RuntimeError):
@@ -121,16 +123,16 @@ def eigencheck(
     probes: int = 8,
     cfg: FDConfig = FDConfig(),
     seed: int = 0,
-    pool_size: int = 128,
 ) -> EigencheckReport:
     """Estimate both eigenvalues on the kernel section y -> K(x0, y).
 
-    Probes are uniform points filtered to |f| > 0.1 max|f| (ratio estimates
-    blow up near zeros of f); the median across probes is reported.
+    Probes are the first `probes` of _POOL_SIZE uniform points with
+    |f| > 0.1 max|f| (ratio estimates blow up near zeros of f); the median
+    across probes is reported.
     """
     idx = ck.index
     f = ck.section(x0)
-    pool = sphere_samples(idx.n, pool_size, [seed, idx.h, idx.m, _TAG_EIGEN])
+    pool = sphere_samples(idx.n, _POOL_SIZE, [seed, idx.h, idx.m, _TAG_EIGEN])
     fvals = f(pool)
     cutoff = 0.1 * float(np.max(np.abs(fvals)))
     eligible = np.flatnonzero(np.abs(fvals) > cutoff)

@@ -27,6 +27,9 @@ DIM_TOLERANCE = 0.4
 # pairs per distance block (1 MB of float64) and atoms per column tile (1 MB of coordinates at n=2)
 _DISTANCE_BLOCK = 131_072
 _DISTANCE_TILE = 16_384
+# reference atoms kept by correlation_dimension, and radii in its default fit window
+_MAX_REFS = 4096
+_N_BINS = 16
 
 
 def gen_point_mass(x0: SpherePoint) -> DiscreteMeasure:
@@ -139,16 +142,14 @@ def correlation_dimension(
     measure: DiscreteMeasure,
     r_grid: Sequence[float] | None = None,
     seed: int = 0,
-    max_refs: int = 4096,
-    n_bins: int = 16,
 ) -> DimensionEstimate:
     """Correlation-integral slope of a nonnegative discrete measure.
 
-    All pairs are used when the measure has at most max_refs atoms; larger
-    measures are thinned to max_refs reference atoms drawn proportionally to
+    All pairs are used when the measure has at most _MAX_REFS atoms; larger
+    measures are thinned to _MAX_REFS reference atoms drawn proportionally to
     their weights, which leaves C(r) unbiased up to normalization (and the
     log-log slope is normalization-free).  The default fit window is
-    [2 * median NN distance, diameter / 4] with n_bins log-spaced radii.
+    [2 * median NN distance, diameter / 4] with _N_BINS log-spaced radii.
     """
     if not measure.nonnegative:
         raise ValueError("correlation dimension is defined for nonnegative measures")
@@ -170,13 +171,13 @@ def correlation_dimension(
     wn = w / total
 
     uniform = bool(np.allclose(w, w[0]))
-    if m <= max_refs:
+    if m <= _MAX_REFS:
         ref_idx = np.arange(m)
         ref_w = wn
     else:
         rng = seeded_rng(seed, _TAG_REFS)
-        ref_idx = np.sort(rng.choice(m, size=max_refs, replace=True, p=wn))
-        ref_w = np.full(max_refs, 1.0 / max_refs)
+        ref_idx = np.sort(rng.choice(m, size=_MAX_REFS, replace=True, p=wn))
+        ref_w = np.full(_MAX_REFS, 1.0 / _MAX_REFS)
 
     # rough diameter from reference pairs only
     probe = _sq_distance_blocks(pts, ref_idx[:: max(1, len(ref_idx) // 512)])
@@ -196,7 +197,7 @@ def correlation_dimension(
         r_hi = diameter / 4.0
         if r_lo >= r_hi:
             r_lo = r_hi / 16.0
-        r = np.geomspace(r_lo, r_hi, n_bins)
+        r = np.geomspace(r_lo, r_hi, _N_BINS)
     edges = np.concatenate([[0.0], r])
     counts = _pair_counts(pts, wn, ref_idx, ref_w, edges, uniform)
 

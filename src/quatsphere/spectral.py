@@ -28,7 +28,7 @@ import numpy as np
 
 from . import quat_core
 from .ortho_poly import cheb_ladder, jacobi_ladder
-from .quat_core import Array, SpherePoint, pair_invariants_matrix, sphere_samples
+from .quat_core import Array, pair_invariants_matrix, sphere_samples
 from .zonal_kernel import CalibratedKernel
 
 _TAG_SCAN = 31
@@ -151,13 +151,8 @@ def psi(u, v, epsilon: float):
     return out
 
 
-def project(measure: DiscreteMeasure, ck: CalibratedKernel, x: SpherePoint) -> float:
-    """(pi_{h,m} mu)(x) = sum_a w_a K(x, y_a)."""
-    return float(project_values(measure, ck, x.vec[None, :])[0])
-
-
 def project_values(measure: DiscreteMeasure, ck: CalibratedKernel, xs: Array) -> Array:
-    """Projection values at an array of evaluation points."""
+    """(pi_{h,m} mu)(x) = sum_a w_a K(x, y_a) at each evaluation point x of xs."""
     return _projection_matrix(measure, [ck], np.atleast_2d(xs))[0]
 
 

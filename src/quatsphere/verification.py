@@ -23,6 +23,9 @@ _TAG_PRODUCT = 52
 
 EIGEN_REL_TOL = 5e-3
 EIGEN_ABS_TOL = 1e-3
+# the exact identities are checked for every 2m <= h <= _L1_L2_H_MAX and 2 <= n <= _L1_L2_N_MAX
+_L1_L2_H_MAX = 100
+_L1_L2_N_MAX = 5
 
 
 @dataclass(frozen=True)
@@ -35,18 +38,18 @@ class CheckResult:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
-def check_l1_l2(n_max: int = 5, h_max: int = 100) -> CheckResult:
-    grid = np.arange(h_max + 1)
-    h, m = np.meshgrid(grid, grid[: h_max // 2 + 1], indexing="ij")
+def check_l1_l2() -> CheckResult:
+    grid = np.arange(_L1_L2_H_MAX + 1)
+    h, m = np.meshgrid(grid, grid[: _L1_L2_H_MAX // 2 + 1], indexing="ij")
     h, m = h[2 * m <= h], m[2 * m <= h]
     worst = 0.0
-    for n in range(2, n_max + 1):
+    for n in range(2, _L1_L2_N_MAX + 1):
         first, second = l1_l2_identity(h, m, n)
         worst = max(worst, np.max(np.abs(first - h)), np.max(np.abs(second - (h - 2 * m))))
     return CheckResult(
         name="l1_l2_identity",
         passed=worst <= 1e-12,
-        detail=f"max deviation {worst:.3e} over h<={h_max}, n<={n_max}",
+        detail=f"max deviation {worst:.3e} over h<={_L1_L2_H_MAX}, n<={_L1_L2_N_MAX}",
     )
 
 

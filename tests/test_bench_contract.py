@@ -6,9 +6,11 @@ there as an emptied bank and a failed scan, not as an error here.
 
 Only a traced run reports the per-layer metrics BENCHMARK.json lists, and
 perfbench/spans.py leaves a metric out, printing an `absent:` line, when its
-probed name no longer resolves or its counter raises.  Which probes are
-present depends on name resolution alone, and scan's set-up calls the one
-counter that reads a kernel attribute, so one traced scan covers them all.
+probed name no longer resolves or its counter raises.  A counter runs only
+when its function is called, and the three workloads call different ones:
+eigencheck's `probes_requested` runs only in verify and
+correlation_dimension's `distance_pairs` only in dimension (a traced scan
+reads both as 0), so each workload gets a traced run.
 """
 
 import json
@@ -19,12 +21,17 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+# the counter that only this workload's traced run exercises
+OWN_COUNTER = {
+    "verify": "diffops.eigencheck.probes_requested",
+    "dimension": "dimension_lab.correlation_dimension.distance_pairs",
+}
 
 
 @pytest.mark.parametrize(
     "workload, trace",
-    [("scan", 0), ("dimension", 0), ("verify", 0), ("scan", 1)],
-    ids=["scan", "dimension", "verify", "scan-traced"],
+    [("scan", 0), ("dimension", 0), ("verify", 0), ("scan", 1), ("verify", 1), ("dimension", 1)],
+    ids=["scan", "dimension", "verify", "scan-traced", "verify-traced", "dimension-traced"],
 )
 def test_workload_is_correct(workload, trace):
     proc = subprocess.run(
@@ -39,3 +46,5 @@ def test_workload_is_correct(workload, trace):
         listed = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
         assert [name for name in listed if name not in result["metrics"]] == []
         assert [line for line in proc.stdout.splitlines() if "absent:" in line] == []
+        if workload in OWN_COUNTER:
+            assert result["metrics"][OWN_COUNTER[workload]]["value"] > 0

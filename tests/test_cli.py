@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,23 @@ from quatsphere.diffops import DegenerateProbesError
 from quatsphere.zonal_kernel import index_range, raw_kernel_values
 
 DATA = Path(__file__).parent / "data"
-FAST = ["--n", "2", "--h-max", "3", "--mc-samples", "20000", "--seed", "5"]
+FAST = ["--n", "2", "--h-max", "3", "--seed", "5"]
+VERIFY_FAST = [*FAST, "--mc-samples", "20000"]
+
+# every command's options, as its --help lists them (--help and --config aside)
+OPTIONS = {
+    "verify": ["--n", "--h-max", "--epsilon", "--mc-samples", "--seed", "--fd-step", "--out"],
+    "spectrum": ["--n", "--h-max", "--epsilon", "--probes", "--seed", "--atoms", "--out"],
+    "multiplier": ["--n", "--h-max", "--epsilon", "--probes", "--seed", "--atoms", "--out"],
+    "dimension": ["--n", "--seed", "--atoms", "--out"],
+    "report": ["--n", "--h-max", "--epsilon", "--probes", "--seed", "--atoms", "--out"],
+}
+ALL_OPTIONS = ["--n", "--h-max", "--epsilon", "--mc-samples", "--probes", "--seed", "--fd-step", "--atoms", "--out"]
+UNREAD = [(cmd, flag) for cmd, flags in OPTIONS.items() for flag in ALL_OPTIONS if flag not in flags]
+
+
+def command_argv(command: str) -> list[str]:
+    return [command] if command == "verify" else [command, "point"]
 
 
 def passing_verify_summary(n: int) -> dict:
@@ -48,6 +65,16 @@ class TestRunConfig:
             RunConfig(n=1)
         with pytest.raises(UsageError):
             RunConfig(epsilon=0.5)
+        for field, value, message in (
+            ("h_max", -1, "h_max must be non-negative, got -1"),
+            ("seed", -1, "seed must be non-negative, got -1"),
+            ("mc_samples", 0, "mc_samples must be positive, got 0"),
+            ("atoms", 0, "atoms must be positive, got 0"),
+            ("n", 1, "n must be at least 2, got 1"),
+        ):
+            with pytest.raises(UsageError, match=f"^{message}$"):
+                RunConfig(**{field: value})
+        assert RunConfig(h_max=0, seed=0).h_max == 0
         for probes in (0, -3):
             with pytest.raises(UsageError, match=f"probes must be positive, got {probes}"):
                 RunConfig(probes=probes)
@@ -55,20 +82,20 @@ class TestRunConfig:
     def test_config_file_overrides(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("# comment\nn=3\nepsilon=0.2\noutput_path=other.json\n")
-        cfg = load_config_file(str(p))
+        cfg = load_config_file(str(p), "verify")
         assert cfg == {"n": 3, "epsilon": 0.2, "output_path": "other.json"}
 
     def test_config_file_errors(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("nonsense\n")
         with pytest.raises(UsageError):
-            load_config_file(str(p))
+            load_config_file(str(p), "verify")
         p.write_text("unknown_key=3\n")
         with pytest.raises(UsageError):
-            load_config_file(str(p))
+            load_config_file(str(p), "verify")
         p.write_text("cache_path=c.json\n")
         with pytest.raises(UsageError, match="unknown key 'cache_path'"):
-            load_config_file(str(p))
+            load_config_file(str(p), "verify")
 
 
 class TestMeasureFiles:
@@ -85,6 +112,13 @@ class TestMeasureFiles:
         p = tmp_path / "m.txt"
         p.write_text("1,0,0,0,0,0,0,0,1.0\n")
         with pytest.raises(UsageError, match=":1"):
+            load_measure(p)
+
+    @pytest.mark.parametrize("n", [1, 0, -1])
+    def test_header_n_below_2_reports_line_1(self, tmp_path, n):
+        p = tmp_path / "m.txt"
+        p.write_text(f"# n={n}\n1,0,0,0,1.0\n")
+        with pytest.raises(UsageError, match=f"^{re.escape(str(p))}:1: n must be at least 2, got {n}$"):
             load_measure(p)
 
     def test_bad_line_reports_number(self, tmp_path):
@@ -106,6 +140,24 @@ class TestMeasureFiles:
         assert abs(np.linalg.norm(mu.points[0]) - 1.0) <= 1e-12
         assert "renormalized" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_reports_number(self, tmp_path, capsys, bad):
+        p = tmp_path / "m.txt"
+        p.write_text(f"# n=2\n1,0,0,0,0,0,0,0,1.0\n2,0,0,0,0,0,0,0,1.0\n1,0,{bad},0,0,0,0,0,1.0\n")
+        with pytest.raises(UsageError, match=f"^{re.escape(str(p))}:4: values must be finite$"):
+            load_measure(p)
+        p.write_text(f"# n=2\n1,0,0,0,0,0,0,0,{bad}\n")
+        with pytest.raises(UsageError, match=f"^{re.escape(str(p))}:2: values must be finite$"):
+            load_measure(p)
+        assert capsys.readouterr().err == ""
+
+    def test_zero_atom_reports_number(self, tmp_path, capsys):
+        p = tmp_path / "m.txt"
+        p.write_text("# n=2\n2,0,0,0,0,0,0,0,1.0\n0,0,0,0,0,-0.0,0,0,1.0\n")
+        with pytest.raises(UsageError, match=f"^{re.escape(str(p))}:3: atom is the zero vector$"):
+            load_measure(p)
+        assert capsys.readouterr().err == ""
+
 
 class TestFixtures:
     def test_names(self):
@@ -123,8 +175,8 @@ class TestFixtures:
 class TestCommands:
     def test_verify_ok_and_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "v1.json", tmp_path / "v2.json"
-        assert main(["verify", *FAST, "--out", str(out1)]) == 0
-        assert main(["verify", *FAST, "--out", str(out2)]) == 0
+        assert main(["verify", *VERIFY_FAST, "--out", str(out1)]) == 0
+        assert main(["verify", *VERIFY_FAST, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
         summary = json.loads(out1.read_text())
         assert summary["all_passed"]
@@ -147,7 +199,7 @@ class TestCommands:
 
     def test_verify_writes_only_its_out_file(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        assert main(["verify", *FAST, "--out", "v.json"]) == 0
+        assert main(["verify", *VERIFY_FAST, "--out", "v.json"]) == 0
         assert [p.name for p in tmp_path.iterdir()] == ["v.json"]
 
     @pytest.mark.parametrize(
@@ -179,13 +231,13 @@ class TestCommands:
             return bank
 
         monkeypatch.setattr(cli, "calibrate_bank", corrupted)
-        rc = main(["verify", *FAST, "--out", str(tmp_path / "v.json")])
+        rc = main(["verify", *VERIFY_FAST, "--out", str(tmp_path / "v.json")])
         assert rc == 1
         assert "idempotency" in capsys.readouterr().err
 
     def test_out_of_domain_step_is_rejected(self, tmp_path, capsys):
         # steps beyond the FD domain cannot silently degrade the eigencheck
-        rc = main(["verify", *FAST, "--fd-step", "0.5", "--out", str(tmp_path / "v.json")])
+        rc = main(["verify", *VERIFY_FAST, "--fd-step", "0.5", "--out", str(tmp_path / "v.json")])
         assert rc == 2
         assert "fd_step" in capsys.readouterr().err
 
@@ -229,7 +281,7 @@ class TestCommands:
         assert len(fit_rows) > 3
 
     def test_report_point_mass(self, tmp_path):
-        base = ["--n", "2", "--h-max", "6", "--mc-samples", "50000", "--seed", "5"]
+        base = ["--n", "2", "--h-max", "6", "--seed", "5"]
         rc = main(["report", "point", *base, "--out", str(tmp_path / "rep")])
         assert rc == 0
         blob = json.loads((tmp_path / "rep.json").read_text())
@@ -261,7 +313,7 @@ class TestCommands:
             raise DegenerateProbesError(f"no probe with |f| above 0.1*max for {ck.index}")
 
         monkeypatch.setattr(verification, "eigencheck", degenerate)
-        rc = main(["verify", *FAST, "--out", str(tmp_path / "v.json")])
+        rc = main(["verify", *VERIFY_FAST, "--out", str(tmp_path / "v.json")])
         assert rc == 1
         assert "error: no probe with |f| above 0.1*max for KernelIndex(h=0, m=0, n=2)" in capsys.readouterr().err
 
@@ -282,7 +334,37 @@ class TestCommands:
 
     def test_config_file_plumbs_through(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("n=2\nh_max=2\nmc_samples=20000\nseed=5\natoms=300\n")
+        cfgfile.write_text("n=2\nh_max=2\nseed=5\natoms=300\n")
         rc = main(["spectrum", "uniform", "--config", str(cfgfile), "--out", str(tmp_path / "s")])
         assert rc == 0
         assert len(json.loads((tmp_path / "s.json").read_text())["entries"]) == 4
+
+
+class TestCommandTable:
+    def test_table_names_every_command(self):
+        assert list(cli.COMMANDS) == list(OPTIONS)
+
+    @pytest.mark.parametrize("command, flag", UNREAD)
+    def test_unread_flag_is_rejected(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*command_argv(command), flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", UNREAD)
+    def test_unread_config_key_is_rejected(self, tmp_path, command, flag, capsys):
+        key = flag[2:].replace("-", "_")  # never --out, whose key is output_path: every command reads it
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"# unread below\n{key}=1\n")
+        rc = main([*command_argv(command), "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {cfgfile}:2: {command} does not read key {key!r}\n"
+        assert list(tmp_path.iterdir()) == [cfgfile]
+
+    @pytest.mark.parametrize("command", list(OPTIONS))
+    def test_help_lists_exactly_the_options(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        listed = re.findall(r"^  (?:-h, )?(--[a-z-]+)", capsys.readouterr().out, flags=re.MULTILINE)
+        assert listed == ["--help", "--config", *OPTIONS[command]]

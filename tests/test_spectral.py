@@ -15,7 +15,6 @@ from quatsphere import (
     gen_point_mass,
     gen_uniform,
     in_cone,
-    project,
     project_values,
     psi,
     spectrum_scan,
@@ -126,10 +125,10 @@ class TestProject:
         ck = bank8[(3, 1)]
         mu = gen_point_mass(x0)
         x = SpherePoint(sphere_samples(2, 1, 12)[0])
-        assert project(mu, ck, x) == pytest.approx(ck(x, x0), abs=1e-12)
+        assert project_values(mu, ck, x.vec)[0] == pytest.approx(ck(x, x0), abs=1e-12)
 
     def test_constant_component_of_point_mass(self, bank8, x0):
-        assert project(gen_point_mass(x0), bank8[(0, 0)], x0) == pytest.approx(1.0, rel=2e-2)
+        assert project_values(gen_point_mass(x0), bank8[(0, 0)], x0.vec)[0] == pytest.approx(1.0, rel=2e-2)
 
     def test_uniform_atoms_have_small_projections(self, bank8):
         mu = gen_uniform(2, 20_000, seed=6)
@@ -137,7 +136,7 @@ class TestProject:
         for hm in [(1, 0), (2, 1), (4, 2)]:
             ck = bank8[hm]
             bound = 4.0 * math.sqrt(ck.diagonal() * mu.sum_sq_weight())
-            assert abs(project(mu, ck, x)) <= bound
+            assert abs(project_values(mu, ck, x.vec)[0]) <= bound
 
     def test_linearity(self, bank8, x0):
         ck = bank8[(2, 1)]
@@ -145,15 +144,15 @@ class TestProject:
         b = gen_uniform(2, 80, seed=8)
         x = SpherePoint(sphere_samples(2, 1, 14)[0])
         combo = DiscreteMeasure.combine(a.scaled(1.7), b.scaled(-0.3))
-        lhs = project(combo, ck, x)
-        rhs = 1.7 * project(a, ck, x) - 0.3 * project(b, ck, x)
+        lhs = project_values(combo, ck, x.vec)[0]
+        rhs = 1.7 * project_values(a, ck, x.vec)[0] - 0.3 * project_values(b, ck, x.vec)[0]
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
     def test_project_values_blocks_match(self, bank8):
         mu = gen_uniform(2, 1000, seed=9)
         xs = sphere_samples(2, 7, 15)
         vals = project_values(mu, bank8[(4, 1)], xs)
-        singles = [project(mu, bank8[(4, 1)], SpherePoint(x)) for x in xs]
+        singles = [project_values(mu, bank8[(4, 1)], SpherePoint(x).vec)[0] for x in xs]
         assert np.allclose(vals, singles, atol=1e-12)
 
 
@@ -326,7 +325,7 @@ class TestFunctionMeasure:
         # total signed mass approximates <f, 1> = 0; L1 mass is positive
         assert abs(mu.total_weight()) <= 0.05 * np.sum(np.abs(mu.weights))
         # its (2, 1) projection at x0 approximates ||K(x0,.)||^2 = diag
-        val = project(mu, ck, x0)
+        val = project_values(mu, ck, x0.vec)[0]
         assert val == pytest.approx(ck.diagonal(), rel=0.05)
 
     def test_rejects_zero_function(self):
