@@ -24,9 +24,12 @@ _TAG_REFS = 42
 # estimator tolerance at ~1e5 samples; used by the consistency verdict
 DIM_TOLERANCE = 0.4
 
-# pairs per distance block (1 MB of float64) and atoms per column tile (1 MB of coordinates at n=2)
+# GEMM values per distance block (1 MB of float64) and atoms per column tile
 _DISTANCE_BLOCK = 131_072
-_DISTANCE_TILE = 16_384
+_DISTANCE_TILE = 1024
+# OpenBLAS (0.3.31, AVX-512) computes the last ncols % 8 columns of a large product
+# with a remainder kernel whose values can differ in the last bit
+_LANE = 8
 # reference atoms kept by correlation_dimension, and radii in its default fit window
 _MAX_REFS = 4096
 _N_BINS = 16
@@ -87,25 +90,46 @@ class DimensionEstimate:
         }
 
 
-def _sq_distance_blocks(points: Array, ref_idx: Array):
-    """Yield (lo, c0, d2): squared distances from points[ref_idx[lo:lo+rows]] to points[c0:c0+cols].
+def _spans(lo: int, hi: int, size: int):
+    """[lo, hi) cut at lo + multiples of size; a last span shorter than a lane joins the one before."""
+    cuts = list(range(lo, hi, size))[1:]
+    if cuts and hi - cuts[-1] < _LANE:
+        cuts.pop()
+    ends = [lo, *cuts, hi]
+    return zip(ends[:-1], ends[1:])
 
-    Equal column tiles keep a tile's coordinates in cache while the reference rows
-    stream past.  Self-pairs read inf; callers clip coincident atoms at 0.
+
+def _gram_tiles(x: Array, y: Array, upper: bool = False):
+    """Yield (r0, c0, g) with g = (2 x[r0:r1]) @ y[c0:c1].T, each g overwriting the last.
+
+    A pair's squared distance is (sq_i + sq_j) - g_ij.  Every product has at least 2
+    rows (callers pass x with at least 2) and whole lanes of columns (y is padded with
+    zero rows, which g leaves out), so no value comes from a matrix-vector product or a
+    remainder kernel, and g_ij has the same bits whatever the block and tile sizes.
+    With upper (x a prefix of y), each block's tiles start at its own first row: every
+    unordered pair with a point of x is met once, and callers drop j <= i where a tile
+    overlaps its block (c0 < r1).
     """
-    m = points.shape[0]
-    sq = np.sum(points * points, axis=1)
-    cols = math.ceil(m / math.ceil(m / _DISTANCE_TILE))
-    rows = max(1, _DISTANCE_BLOCK // cols)
-    for c0 in range(0, m, cols):
-        for lo in range(0, len(ref_idx), rows):
-            ridx = ref_idx[lo : lo + rows]
-            g = (2.0 * points[ridx]) @ points[c0 : c0 + cols].T  # exact doubling: G's rounding is kept
-            d2 = np.add.outer(sq[ridx], sq[c0 : c0 + cols])
-            d2 -= g
-            own = (ridx >= c0) & (ridx < c0 + cols)
-            d2[own, ridx[own] - c0] = np.inf
-            yield lo, c0, d2
+    m = len(y)
+    y = np.concatenate([y, np.zeros((-m % _LANE, y.shape[1]))]) if m % _LANE else y
+    cols = max(_LANE, _DISTANCE_TILE // _LANE * _LANE)
+    rows = max(_LANE, _DISTANCE_BLOCK // cols // _LANE * _LANE)
+    buf = np.empty((rows + _LANE) * cols)
+    for r0, r1 in _spans(0, len(x), rows):
+        x2 = 2.0 * x[r0:r1]  # exact doubling: G's rounding is kept, and (2a).b == (2b).a bit for bit
+        for c0, c1 in _spans(r0 if upper else 0, len(y), cols):
+            g = np.matmul(x2, y[c0:c1].T, out=buf[: (r1 - r0) * (c1 - c0)].reshape(r1 - r0, c1 - c0))
+            yield r0, c0, g[:, : m - c0]
+
+
+def _margin(sq: Array, t: float) -> float:
+    """Slack for judging squared distances up to t by their GEMM values g.
+
+    d2 = fl(fl(sq_i + sq_j) - g) lies within u(2 max sq + t) of sq_i + sq_j - g (u the
+    unit roundoff).  The slack is four times that: twice for comparing two pairs, and
+    twice again for the rounding of the thresholds built from it.
+    """
+    return 2.0 * np.finfo(np.float64).eps * (2.0 * float(sq.max()) + t)
 
 
 def _pair_counts(
@@ -116,26 +140,81 @@ def _pair_counts(
     edges: Array,
     uniform: bool,
 ) -> Array:
-    """Weighted pair counts below each edge (cumulative over bins).
+    """Weighted pair counts below each edge (cumulative over bins) from references to atoms.
 
-    Distances are binned as squares against squared edges, and only those inside
-    the last edge: np.histogram would sort every pair before dropping the rest.
+    Repeat references are folded into one row weighted by their summed draws (their
+    multiplicity when uniform, which keeps the counts integers).  With the distinct
+    references first, the walk meets each unordered pair once and weighs it
+    rho_i w_j + rho_j w_i, rho being 0 off the references.  Only pairs whose GEMM value
+    admits d2 <= edges[-1]**2 get an exact squared distance; they are binned with
+    np.histogram's semantics (half-open bins, last edge closed, d2 < 0 in bin 0).
     """
-    hist = np.zeros(len(edges) - 1)
+    m = len(points)
+    refs, inv = np.unique(ref_idx, return_inverse=True)
+    rest = np.ones(m, dtype=bool)
+    rest[refs] = False
+    order = np.concatenate([refs, np.flatnonzero(rest)])
+    pts = points[order]
+    sq = np.sum(points * points, axis=1)[order]
+    w = np.ones(m) if uniform else weights[order]
+    rho = np.zeros(m)
+    rho[: len(refs)] = np.bincount(inv, None if uniform else ref_w)
+    # a lone reference walks with the next atom at rho 0: a 1-row block is not a GEMM
+    n_rows = max(2, len(refs))
+
     edges_sq = edges * edges
-    for lo, c0, d2 in _sq_distance_blocks(points, ref_idx):
-        rows, cols = np.divmod(np.flatnonzero(d2 <= edges_sq[-1]), d2.shape[1])
-        wprod = None if uniform else ref_w[lo + rows] * weights[c0 + cols]
-        hist += np.histogram(np.maximum(d2[rows, cols], 0.0), bins=edges_sq, weights=wprod)[0]
-    return np.cumsum(hist)
+    t = float(edges_sq[-1])
+    thr = 2.0 * float(sq.min()) - t - _margin(sq, t)
+    # d2 past the last edge falls in an overflow bin, dropped at the end
+    bin_edges = np.append(edges_sq[:-1], np.nextafter(t, np.inf))
+    hist = np.zeros(len(edges_sq))
+    for r0, c0, g in _gram_tiles(pts[:n_rows], pts, upper=True):
+        idx = np.flatnonzero(g >= thr)
+        i, j = np.divmod(idx, g.shape[1])
+        i += r0
+        j += c0
+        if c0 < r0 + len(g):
+            keep = j > i
+            idx, i, j = idx[keep], i[keep], j[keep]
+        d2 = np.maximum((sq[i] + sq[j]) - g.ravel()[idx], 0.0)
+        # a bin index is the number of edges past the first at or below d2 (a few
+        # vectorized passes beat a binary search per pair)
+        bins = np.zeros(len(d2), dtype=np.min_scalar_type(len(hist)))
+        for e in bin_edges[1:]:
+            bins += d2 >= e
+        hist += np.bincount(bins, rho[i] * w[j] + rho[j] * w[i], minlength=len(hist))
+    return np.cumsum(hist[:-1])
 
 
-def _median_nn(points: Array, ref_idx: Array) -> float:
-    """Median nearest-neighbour distance seen from a reference subset."""
-    nn = np.full(len(ref_idx), np.inf)
-    for lo, _, d2 in _sq_distance_blocks(points, ref_idx):
-        nn[lo : lo + len(d2)] = np.minimum(nn[lo : lo + len(d2)], d2.min(axis=1))
-    return float(math.sqrt(np.median(np.maximum(nn, 0.0))))
+def _probe(points: Array, rows: Array, fill: float, select):
+    """Yield (row, d2): exact squared distances of the pairs select(g, widen) keeps in each tile.
+
+    The tiles run points[rows] against every atom, with each row's entry for itself set
+    to fill.  Two pairs whose GEMM values g differ by more than widen cannot swap order
+    in squared distance, however d2 rounds.
+    """
+    sq = np.sum(points * points, axis=1)
+    widen = 2.0 * float(sq.max() - sq.min()) + _margin(sq, 4.0 * float(sq.max()))
+    for r0, c0, g in _gram_tiles(points[rows], points):
+        own = rows[r0 : r0 + len(g)] - c0
+        k = np.flatnonzero((own >= 0) & (own < g.shape[1]))
+        g[k, own[k]] = fill
+        i, j = np.divmod(np.flatnonzero(select(g, widen)), g.shape[1])
+        yield r0 + i, (sq[rows[r0 + i]] + sq[c0 + j]) - g[i, j]
+
+
+def _max_sq_distance(points: Array, rows: Array) -> float:
+    """Largest squared distance (at least 0) from points[rows] to another atom: the farthest pairs have the smallest g."""
+    pairs = _probe(points, rows, np.inf, lambda g, widen: g <= g.min() + widen)
+    return max([0.0, *(float(d2.max()) for _, d2 in pairs)])
+
+
+def _nearest_sq_distances(points: Array, rows: Array) -> Array:
+    """Each row's smallest squared distance from points[rows] to another atom: its nearest atoms have its largest g."""
+    nn = np.full(len(rows), np.inf)
+    for i, d2 in _probe(points, rows, -np.inf, lambda g, widen: g >= (g.max(axis=1) - widen)[:, None]):
+        np.minimum.at(nn, i, d2)
+    return nn
 
 
 def correlation_dimension(
@@ -180,20 +259,18 @@ def correlation_dimension(
         ref_w = np.full(_MAX_REFS, 1.0 / _MAX_REFS)
 
     # rough diameter from reference pairs only
-    probe = _sq_distance_blocks(pts, ref_idx[:: max(1, len(ref_idx) // 512)])
-    d2max = max(float(np.max(d2, where=d2 < np.inf, initial=0.0)) for _, _, d2 in probe)
-    diameter = math.sqrt(d2max)
+    diameter = math.sqrt(_max_sq_distance(pts, ref_idx[:: max(1, len(ref_idx) // 512)]))
     if diameter < 1e-9:
         return degenerate()
 
     if r_grid is not None:
         r = np.asarray(sorted(r_grid), dtype=np.float64)
-        if len(r) < 3:
-            raise ValueError("need at least 3 radii")
+        if len(r) < 3 or r[0] < 0:
+            raise ValueError("need at least 3 nonnegative radii")
         r_lo, r_hi = float(r[0]), float(r[-1])
     else:
-        med_nn = _median_nn(pts, ref_idx[:256])
-        r_lo = 2.0 * med_nn
+        nn = _nearest_sq_distances(pts, ref_idx[:256])
+        r_lo = 2.0 * math.sqrt(np.median(np.maximum(nn, 0.0)))
         r_hi = diameter / 4.0
         if r_lo >= r_hi:
             r_lo = r_hi / 16.0
@@ -232,10 +309,17 @@ def s_energy(measure: DiscreteMeasure, s: float) -> float:
     if not measure.nonnegative:
         raise ValueError("s-energy is defined for nonnegative measures")
     pts, w = measure.points, measure.weights
+    sq = np.sum(pts * pts, axis=1)
     total = 0.0
-    for lo, c0, d2 in _sq_distance_blocks(pts, np.arange(measure.natoms)):
+    # each unordered pair once, doubled; j <= i reads inf and adds 0
+    for r0, c0, g in _gram_tiles(pts, pts, upper=True):
+        r1, c1 = r0 + len(g), c0 + g.shape[1]
+        d2 = np.add.outer(sq[r0:r1], sq[c0:c1])
+        d2 -= g
+        if c0 < r1:
+            d2[np.arange(r0, r1)[:, None] >= np.arange(c0, c1)] = np.inf
         d = np.sqrt(np.maximum(d2, 0.0, out=d2))
-        total += float(np.sum(w[lo : lo + len(d)][:, None] * w[c0 : c0 + d.shape[1]] * d ** (-s)))
+        total += 2.0 * float(np.sum(w[r0:r1][:, None] * w[c0:c1] * d ** (-s)))
     return total
 
 

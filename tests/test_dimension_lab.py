@@ -1,5 +1,8 @@
+import itertools
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +19,13 @@ from quatsphere import (
     theorem_consistency_report,
 )
 from quatsphere import dimension_lab
-from quatsphere.dimension_lab import _TAG_ORBIT, _pair_counts, _sq_distance_blocks
+from quatsphere.dimension_lab import (
+    _TAG_ORBIT,
+    _gram_tiles,
+    _max_sq_distance,
+    _nearest_sq_distances,
+    _pair_counts,
+)
 from quatsphere.quat_core import seeded_rng, sphere_samples
 
 from .oracles import left_mul
@@ -96,6 +105,39 @@ class TestCorrelationDimension:
         est = correlation_dimension(mu, r_grid=np.geomspace(0.15, 0.5, 10), seed=3)
         assert abs(est.s_hat - 3.0) <= 0.5
         assert len(est.r_values) == 10
+        # a negative radius would put the edges out of order
+        for bad in ([0.15, 0.5], [-0.1, 0.15, 0.5]):
+            with pytest.raises(ValueError):
+                correlation_dimension(mu, r_grid=bad, seed=3)
+
+    def test_benchmark_fixtures_are_pinned(self):
+        # the criterion 7 fixtures at 10 000 atoms, seed 1, as a walk of every reference row
+        # against every atom computes them
+        pinned = json.loads((Path(__file__).parent / "data" / "dimension_fixtures_seed1.json").read_text())
+        x0 = SpherePoint(sphere_samples(2, 1, [1, 71])[0])
+        fixtures = {
+            "uniform": gen_uniform(2, 10_000, 1),
+            "sp1-orbit": gen_sp1_orbit(x0, 10_000, 1),
+            "subsphere:1": gen_subsphere(2, 1, 10_000, 1),
+        }
+        for name, mu in fixtures.items():
+            est = correlation_dimension(mu, seed=1)
+            want = pinned[name]
+            assert list(est.c_values) == want["c_values"], name
+            assert list(est.r_values) == want["r_values"], name
+            assert (est.s_hat, est.residual) == (want["s_hat"], want["residual"]), name
+
+    def test_one_dominant_weight(self):
+        # every draw is atom 7: the walk has one distinct reference
+        mu0 = gen_subsphere(2, 1, 5_000, seed=13)
+        w = np.full(5_000, 1e-30)
+        w[7] = 1.0
+        est = correlation_dimension(DiscreteMeasure(mu0.points, w), seed=4)
+        assert not est.degenerate
+        edges = np.concatenate([[0.0], est.r_values])
+        # two rows of atom 7 stand for its 4096 draws
+        want = full_matrix_pair_counts(mu0.points, w / w.sum(), np.array([7, 7]), np.array([0.5, 0.5]), edges, False)
+        np.testing.assert_allclose(est.c_values, want, rtol=1e-12, atol=0.0)
 
     def test_weighted_estimator(self):
         mu0 = gen_subsphere(2, 1, 8_000, seed=10)
@@ -106,12 +148,22 @@ class TestCorrelationDimension:
         assert abs(est.s_hat - 3.0) <= 0.5
 
 
+def full_matrix_sq_distances(points, rows):
+    """Reference: squared distances from points[rows] to every atom in one product; self-pairs read inf.
+
+    The product's columns are padded to whole lanes, as the walk's are: OpenBLAS computes
+    the last ncols % 8 columns of a large product with a kernel that rounds differently.
+    """
+    padded = np.concatenate([points, np.zeros((-len(points) % dimension_lab._LANE, points.shape[1]))])
+    sq = np.sum(points * points, axis=1)
+    d2 = sq[rows][:, None] + sq[None, :] - 2.0 * (points[rows] @ padded.T)[:, : len(points)]
+    d2[np.arange(len(rows)), rows] = np.inf
+    return d2
+
+
 def full_matrix_pair_counts(points, weights, ref_idx, ref_w, edges, uniform):
     """Reference: one distance matrix over every reference pair, all of it histogrammed."""
-    sq = np.sum(points * points, axis=1)
-    d2 = sq[ref_idx][:, None] + sq[None, :] - 2.0 * (points[ref_idx] @ points.T)
-    np.maximum(d2, 0.0, out=d2)
-    d2[np.arange(len(ref_idx)), ref_idx] = np.inf
+    d2 = np.maximum(full_matrix_sq_distances(points, ref_idx), 0.0)
     wprod = None if uniform else ref_w[:, None] * weights[None, :]
     return np.cumsum(np.histogram(d2, bins=edges * edges, weights=wprod)[0])
 
@@ -127,7 +179,8 @@ class TestPairCounts:
 
     def test_duplicates_round_below_zero(self):
         pts, _ = self.duplicated_atoms()
-        d2 = np.concatenate([d2 for _, _, d2 in _sq_distance_blocks(pts, np.arange(len(pts)))])
+        sq = np.sum(pts * pts, axis=1)
+        d2 = np.concatenate([np.add.outer(sq[r0 : r0 + len(g)], sq) - g for r0, _, g in _gram_tiles(pts, pts)])
         assert np.min(d2[np.arange(60), np.arange(400, 460)]) < 0.0
 
     @pytest.mark.parametrize("uniform", [True, False])
@@ -148,6 +201,71 @@ class TestPairCounts:
         else:
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_one_distinct_reference(self, uniform):
+        # a lone reference row walks with a zero-weight partner, so its products stay GEMMs:
+        # edges on its exact squared distances catch a matrix-vector product's rounding
+        pts, w = self.duplicated_atoms()
+        ref_idx, ref_w = np.full(300, 410), np.full(300, 1.0 / 300)
+        d2 = np.sort(full_matrix_sq_distances(pts, ref_idx[:2])[0])
+        d2 = d2[(d2 > 0.0) & (d2 < np.inf)]
+        r = np.sqrt(d2)
+        edges = np.concatenate([[0.0], r[r * r == d2]])
+        got = _pair_counts(pts, w, ref_idx, ref_w, edges, uniform)
+        want = full_matrix_pair_counts(pts, w, ref_idx, ref_w, edges, uniform)
+        assert want[0] > 0  # atom 410 has a duplicate
+        if uniform:
+            assert np.array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    @pytest.mark.parametrize("block", [None, 1000])
+    @pytest.mark.parametrize("thinned", [False, True])
+    def test_probes_match_full_matrix(self, thinned, block, scaled, monkeypatch):
+        pts, w = self.duplicated_atoms()
+        if scaled:
+            # norms from 0.5 to 1.5: an atom's nearest neighbour need not have its largest Gram value
+            pts = pts * (1.0 + 0.5 * np.sin(np.arange(len(pts)) % 400))[:, None]
+        rows = np.arange(len(pts))
+        if thinned:
+            rows = np.sort(np.random.default_rng(2).choice(len(pts), size=300, replace=True, p=w))
+        if block:
+            # 8-row blocks against tiles of 96 columns
+            monkeypatch.setattr(dimension_lab, "_DISTANCE_BLOCK", block)
+            monkeypatch.setattr(dimension_lab, "_DISTANCE_TILE", 100)
+        d2 = full_matrix_sq_distances(pts, rows)
+        nn = _nearest_sq_distances(pts, rows)
+        assert np.array_equal(nn, d2.min(axis=1))
+        assert np.min(nn) < 0.0  # a duplicated atom's squared distance rounds below 0
+        assert _max_sq_distance(pts, rows) == np.max(d2, where=d2 < np.inf, initial=0.0)
+
+    def test_pair_on_the_last_edge_below_the_bare_threshold(self):
+        # 256 sign flips of one vector share its squared norm, so 2 min(sq) - t bounds every
+        # pair's Gram value tightly; a pair whose d2 rounds down onto the last edge t can have
+        # its Gram value below that bound, and only the rounding margin keeps it
+        x = np.random.default_rng(0).standard_normal(8)
+        pts = np.array(list(itertools.product([1.0, -1.0], repeat=8))) * x
+        sq = np.sum(pts * pts, axis=1)
+        g = (2.0 * pts) @ pts.T
+        d2 = (sq[:, None] + sq[None, :]) - g
+        d2 = d2[g < 2.0 * sq[0] - d2]
+        edge = d2[np.sqrt(d2) ** 2 == d2]
+        assert len(edge) > 0
+        w = np.full(256, 1.0 / 256)
+        edges = np.array([0.0, math.sqrt(edge.max()) / 2, math.sqrt(edge.max())])
+        got = _pair_counts(pts, w, np.arange(256), w, edges, True)
+        assert np.array_equal(got, full_matrix_pair_counts(pts, w, np.arange(256), w, edges, True))
+
+    def test_zero_radius(self):
+        # with a first radius of 0, bin 0 holds nothing: d2 below 0 is clipped to 0, as np.histogram sees it
+        pts, w = self.duplicated_atoms()
+        ref_idx, edges = np.arange(len(pts)), np.array([0.0, 0.0, 0.1, 0.3])
+        got = _pair_counts(pts, w, ref_idx, w, edges, True)
+        want = full_matrix_pair_counts(pts, w, ref_idx, w, edges, True)
+        assert want[0] == 0 and want[1] > 0
+        assert np.array_equal(got, want)
+
     def test_pairs_on_edges(self):
         # squared distances 1, 4 and 9 fall exactly on the squared edges
         pts = np.zeros((3, 8))
@@ -164,7 +282,7 @@ class TestPairCounts:
         w = 1.0 + 0.5 * np.sin(np.arange(5_000))
         fixtures = [gen_uniform(2, 310, seed=11), mu0, DiscreteMeasure(mu0.points, w / w.sum())]
         want = [correlation_dimension(mu, seed=4).s_hat for mu in fixtures]
-        # 1000 gives 3-row blocks with a ragged last block at 310 atoms, one row at 5000
+        # 1000 gives 8-row blocks (14 in the last at 310 atoms), 4e6 one block
         monkeypatch.setattr(dimension_lab, "_DISTANCE_BLOCK", block)
         got = [correlation_dimension(mu, seed=4).s_hat for mu in fixtures]
         assert got == pytest.approx(want, rel=1e-12)
@@ -173,7 +291,7 @@ class TestPairCounts:
         mu = gen_uniform(2, 3_000, seed=12)
         want = correlation_dimension(mu, seed=4)
         e_want = s_energy(mu, 3.0)
-        monkeypatch.setattr(dimension_lab, "_DISTANCE_TILE", 700)  # five tiles of 600 atoms
+        monkeypatch.setattr(dimension_lab, "_DISTANCE_TILE", 700)  # tiles of 696 columns in place of 1024
         got = correlation_dimension(mu, seed=4)
         assert got.c_values == want.c_values and got.s_hat == want.s_hat
         assert s_energy(mu, 3.0) == pytest.approx(e_want, rel=1e-12)
