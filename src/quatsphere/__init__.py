@@ -8,16 +8,14 @@ for example measures.
 """
 
 from .quat_core import AXES, SpherePoint, seeded_rng, sphere_samples, tangent_frame
-from .ortho_poly import JacobiParams, binomial, cheb_u_scaled, jacobi_eval
+from .ortho_poly import JacobiParams, cheb_u_scaled, jacobi_eval
 from .zonal_kernel import (
     CalibratedKernel,
     KernelIndex,
     UnusableKernelError,
     calibrate,
     calibrate_bank,
-    in_index_set,
     index_range,
-    raw_kernel,
 )
 from .diffops import (
     DegenerateProbesError,

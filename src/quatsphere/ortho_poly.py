@@ -8,14 +8,14 @@ generator yielding degree after degree: the pointwise evaluators take one
 rung, and the kernel-sum engine in spectral walks every rung it needs.
 
 A ladder writes each rung in place into one of three rotating buffers, so
-a yielded rung is valid only until the ladder advances.  The engine passes
-block-sized buffers it reuses for every block; without them a ladder
-allocates its own, so each pointwise evaluation returns a fresh array.
+a yielded rung is valid only until the ladder advances.  The kernel-sum
+engine and the zonal kernel rows pass buffers they reuse for every block;
+the pointwise evaluators check their domain and let the ladder allocate,
+so each call returns a fresh array.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,49 +103,37 @@ def _rung(ladder, k: int):
     return next(ladder)
 
 
-def jacobi_eval(params: JacobiParams, x, out=None):
-    """P_m^{(alpha,beta)}(x) for x in [-1, 1] (scalar or array).
+def _require_invariants(a: Array, s: Array):
+    """Reject (a, s) that are not Re q and |q|^2 of one quaternion q, beyond rounding."""
+    if (s < -_DOMAIN_TOL).any():
+        raise ValueError("s = |q|^2 must be non-negative")
+    if (a * a > s + _DOMAIN_TOL).any():
+        raise ValueError("need a^2 <= s (a is the real part of a quaternion of norm sqrt(s))")
 
-    Inputs may overshoot the interval by up to 1e-12 (floating-point inner
-    products); anything worse is rejected.  `out` is None or four float64
-    arrays of x's shape: the clipped x goes into the first (which may be x
-    itself) and the ladder's rungs into the other three, so the value is
-    valid only until they are reused.
-    """
-    arr = np.asarray(x, dtype=np.float64)
-    if (arr < -1.0 - _DOMAIN_TOL).any() or (arr > 1.0 + _DOMAIN_TOL).any():
+
+def _require_unit_interval(x: Array):
+    """Reject x outside [-1, 1] by more than 1e-12 (floating-point inner products)."""
+    if (x < -1.0 - _DOMAIN_TOL).any() or (x > 1.0 + _DOMAIN_TOL).any():
         raise ValueError("jacobi_eval argument outside [-1, 1] beyond tolerance")
-    arr = np.clip(arr, -1.0, 1.0, out=None if out is None else out[0])
-    p = _rung(jacobi_ladder(params.alpha, params.beta, arr, out=None if out is None else out[1:]), params.degree)
+
+
+def jacobi_eval(params: JacobiParams, x):
+    """P_m^{(alpha,beta)}(x) for x in [-1, 1] (scalar or array), clipped after the check."""
+    arr = np.asarray(x, dtype=np.float64)
+    _require_unit_interval(arr)
+    p = _rung(jacobi_ladder(params.alpha, params.beta, np.clip(arr, -1.0, 1.0)), params.degree)
     return p if isinstance(x, np.ndarray) else float(p)
 
 
-def cheb_u_scaled(k: int, a, s, out=None):
+def cheb_u_scaled(k: int, a, s):
     """W_k(a, s) = |q|^k U_k(a/|q|) with a = Re q, s = |q|^2.
 
     Polynomial in (a, s): W_0 = 1, W_1 = 2a, W_k = 2a W_{k-1} - s W_{k-2},
-    so the |q| = 0 singularity of U_k(a/|q|) never appears.  `out` is None
-    or the ladder's three rotating float64 arrays (see cheb_ladder).
+    so the |q| = 0 singularity of U_k(a/|q|) never appears.
     """
     if k < 0:
         raise ValueError(f"degree must be non-negative, got {k}")
-    a_arr = np.asarray(a, dtype=np.float64)
-    s_arr = np.asarray(s, dtype=np.float64)
-    if (s_arr < -_DOMAIN_TOL).any():
-        raise ValueError("s = |q|^2 must be non-negative")
-    if (a_arr * a_arr > s_arr + _DOMAIN_TOL).any():
-        raise ValueError("need a^2 <= s (a is the real part of a quaternion of norm sqrt(s))")
-
-    if a_arr.shape != s_arr.shape:
-        a_arr, s_arr = np.broadcast_arrays(a_arr, s_arr)
-    w = _rung(cheb_ladder(a_arr, s_arr, out=out), k)
+    a_arr, s_arr = np.broadcast_arrays(np.asarray(a, dtype=np.float64), np.asarray(s, dtype=np.float64))
+    _require_invariants(a_arr, s_arr)
+    w = _rung(cheb_ladder(a_arr, s_arr), k)
     return w if isinstance(a, np.ndarray) or isinstance(s, np.ndarray) else float(w)
-
-
-def binomial(a: int, b: int) -> int:
-    """Exact integer binomial coefficient C(a, b) for 0 <= b <= a."""
-    if not (isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer))):
-        raise TypeError("binomial expects integers")
-    if b < 0 or a < 0 or b > a:
-        raise ValueError(f"binomial requires 0 <= b <= a, got a={a}, b={b}")
-    return math.comb(int(a), int(b))

@@ -162,7 +162,7 @@ def sphere_samples(n: int, count: int, seed: int | Sequence[int]) -> Array:
 # through a = Re<x, y> and s = |<x, y>|^2.
 # ---------------------------------------------------------------------------
 
-# Pairs per block in every blocked kernel sum: 32768 float64 elements are
+# Pairs per block of the kernel-sum engine: 32768 float64 elements are
 # 256 KB per block array.  spectral._projection_matrix holds ten such buffers
 # per call (spectral._ENGINE_BUFFERS) and reuses them for every block and
 # rung: 2.5 MiB in all, about one 2 MB L2 cache.  tracemalloc measured a
@@ -186,13 +186,9 @@ def _aligned_empty(shape) -> Array:
 
 
 def pair_invariants(x_vec: Array, points: Array) -> tuple[Array, Array]:
-    """(a, s) between one point x and an array of points, along the last axis."""
-    a = points @ x_vec
-    comps = [points @ _apply_axis_flat(x_vec, ax) for ax in AXES]
-    s = a * a
-    for c in comps:
-        s = s + c * c
-    return a, s
+    """(a, s) between one point x and a (P, 4n) array of points: the one-row pair_invariants_matrix."""
+    a, s = pair_invariants_matrix(x_vec[None, :], points)
+    return a[0], s[0]
 
 
 def pair_invariants_matrix(xs: Array, ys: Array, out=None) -> tuple[Array, Array]:

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffops import FDConfig, eigencheck, l1_l2_identity
-from . import quat_core
 from .quat_core import Array, SpherePoint, pair_invariants_matrix, seeded_rng, sphere_sample_chunks, sphere_samples
 from .spectral import cone_gap_check, psi
-from .zonal_kernel import UnusableKernelError, index_range, raw_kernel_values
+from .zonal_kernel import UnusableKernelError, _kernel_row, index_range
 
 _TAG_PAIRS = 51
 _TAG_PRODUCT = 52
@@ -146,13 +145,14 @@ def check_eigenvalues(
     return CheckResult(name="eigencheck", passed=passed, detail=detail)
 
 
-# sample rows per block of the product pass, rounded down to whole
-# sub-blocks: each trial's kernel rows walk the ladders over a whole block.
-# Both checks at n = 2 and 3 (seed 1, best of 12 rounds, one BLAS thread,
-# two sets) took 655-770 ms at 8192 and 672-703 ms at 16384, which holds
-# twice the block memory; 4096 took 746-819 ms and one 1638-row sub-block
-# 989 ms.
-_PASS_ROWS = 8192
+# sample rows per block of the product pass: one GEMM call per block gives
+# the invariants of every endpoint, and each kernel row walks the ladders over
+# the whole block.  Both checks at n = 2 and 3 (2e5 samples, seed 1, best of
+# 5 each, one BLAS thread, 4 alternating sets) took 0.51-0.61 s at 4096 rows,
+# 0.48-0.66 s at 8192 and 0.53-0.69 s at 16384, against 0.57-0.80 s for the
+# sub-block layout this replaced; ru_maxrss was 44.3, 46.8 and 51.5 MB
+# against its 45.9 MB, so 4096 is the largest block that holds no more.
+_PASS_ROWS = 4096
 
 
 def _merge_moments(moments, block: Array):
@@ -175,36 +175,24 @@ def _product_moments(kernels, ends: Array, chunks) -> tuple[Array, Array]:
 
     Trial t takes its kernels (K1, K2) from kernels[t] and x, z from rows 2t
     and 2t + 1 of ends.  The rows of each chunk (such as those of
-    sphere_sample_chunks) are taken in sub-blocks of
-    quat_core._BLOCK_ELEMENTS // len(ends) rows, and a block is as many
-    sub-blocks as fill about _PASS_ROWS rows.  Per sub-block one GEMM call
-    gives the invariants of every endpoint, into its own contiguous slab of
-    a and s; then each trial's two kernel rows go through the ladders over
-    the whole block, in reused buffers.
+    sphere_sample_chunks) are taken in blocks of _PASS_ROWS rows.  Per block
+    one GEMM call gives the invariants of every endpoint, one contiguous row
+    per endpoint; then each trial's two kernel rows walk the ladders, in
+    reused buffers.
     """
-    sub = max(1, quat_core._BLOCK_ELEMENTS // len(ends))
-    per_block = max(1, _PASS_ROWS // sub)
-    a, s = np.zeros((2, per_block, len(ends), sub))
-    scratch = np.empty((len(ends), sub))
-    rows = np.empty((7, per_block, sub))  # raw_kernel_values' buffers
-    prods = np.empty((len(kernels), per_block * sub))
+    flat = np.empty((3, len(ends) * _PASS_ROWS))  # a, s and pair_invariants_matrix's scratch
+    bufs = np.empty((7, _PASS_ROWS))  # zonal_kernel._kernel_row's buffers
+    prods = np.empty((len(kernels), _PASS_ROWS))
     moments = (0, np.zeros(len(kernels)), np.zeros(len(kernels)))
     for chunk in chunks:
-        for lo in range(0, len(chunk), per_block * sub):
-            ys = chunk[lo : lo + per_block * sub]
-            used = -(-len(ys) // sub)
-            for i in range(used):
-                part = ys[i * sub : (i + 1) * sub]
-                w = len(part)
-                pair_invariants_matrix(ends, part, out=(a[i, :, :w], s[i, :, :w], scratch[:, :w]))
-            # past the samples, a and s still hold zeros or an earlier block's
-            # invariants: valid points, whose products are dropped
-            bufs = list(rows[:, :used])
+        for lo in range(0, len(chunk), _PASS_ROWS):
+            ys = chunk[lo : lo + _PASS_ROWS]
+            w = len(ys)
+            a, s = pair_invariants_matrix(ends, ys, out=[v[: len(ends) * w].reshape(-1, w) for v in flat])
             for t, (ck1, ck2) in enumerate(kernels):
-                prod = prods[t, : used * sub].reshape(used, sub)
-                prod[...] = raw_kernel_values(ck1.index, a[:used, 2 * t], s[:used, 2 * t], ck1.c, bufs)
-                prod *= raw_kernel_values(ck2.index, a[:used, 2 * t + 1], s[:used, 2 * t + 1], ck2.c, bufs)
-            moments = _merge_moments(moments, prods[:, : len(ys)])
+                prods[t, :w] = _kernel_row(ck1.index, a[2 * t], s[2 * t], ck1.c, bufs[:, :w])
+                prods[t, :w] *= _kernel_row(ck2.index, a[2 * t + 1], s[2 * t + 1], ck2.c, bufs[:, :w])
+            moments = _merge_moments(moments, prods[:, :w])
     count, mean, m2 = moments
     if count < 2:
         raise ValueError(f"a Monte Carlo product needs at least 2 samples, got {count}")

@@ -18,16 +18,18 @@ with dim(h, m) in integers from the Weyl dimension formula
 
     integral K(x, y) K(y, z) dsigma(y) = K(x, z),
 
-which the verification module checks by Monte Carlo.
+which the verification module checks by Monte Carlo.  The raw formula is
+one ladder walk, _kernel_row; raw_kernel_values checks its domain first.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ortho_poly import JacobiParams, binomial, cheb_u_scaled, jacobi_eval
+from .ortho_poly import _require_invariants, _require_unit_interval, _rung, cheb_ladder, jacobi_ladder
 from .quat_core import Array, SpherePoint, pair_invariants
 
 _SPREAD_LIMIT = 0.05
@@ -35,13 +37,6 @@ _SPREAD_LIMIT = 0.05
 
 class UnusableKernelError(ValueError):
     """Raised when evaluating a kernel whose spread marks it unusable."""
-
-
-def in_index_set(h: int, m: int) -> bool:
-    """Membership of (h, m) in the admissible index set {2m <= h}."""
-    if h < 0 or m < 0:
-        raise ValueError("indices must be non-negative")
-    return 2 * m <= h
 
 
 @dataclass(frozen=True)
@@ -55,10 +50,8 @@ class KernelIndex:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"n must be at least 2, got {self.n}")
-        if self.h < 0 or self.m < 0:
-            raise ValueError("h and m must be non-negative")
-        if not in_index_set(self.h, self.m):
-            raise ValueError(f"(h, m) = ({self.h}, {self.m}) violates 2m <= h")
+        if not 0 <= 2 * self.m <= self.h:
+            raise ValueError(f"(h, m) = ({self.h}, {self.m}) violates 0 <= 2m <= h")
 
     @property
     def k(self) -> int:
@@ -74,10 +67,6 @@ class KernelIndex:
     def lambda_gamma(self) -> float:
         """Sublaplacian eigenvalue (h - 2m)(h - 2m + 2)."""
         return float(self.k * (self.k + 2))
-
-    @property
-    def jacobi(self) -> JacobiParams:
-        return JacobiParams(alpha=2 * self.n - 3, beta=self.k + 1, degree=self.m)
 
     @property
     def dimension(self) -> int:
@@ -117,31 +106,32 @@ class KernelIndex:
         The scale (a kernel constant c) is multiplied in first, so every
         caller rounds the product the same way.
         """
-        return scale * self.prefactor * binomial(self.h - self.m + 2 * self.n - 2, 2 * self.n - 3)
+        return scale * self.prefactor * math.comb(self.h - self.m + 2 * self.n - 2, 2 * self.n - 3)
 
 
-def raw_kernel_values(idx: KernelIndex, a, s, scale: float = 1.0, out=None):
-    """scale * raw kernel, from the invariants a = Re<x,y> and s = |<x,y>|^2.
+def _kernel_row(idx: KernelIndex, a: Array, s: Array, scale: float, bufs) -> Array:
+    """scale * raw kernel from invariants taken as they are: W_k(a, s), then P_m(2s - 1) clipped to [-1, 1].
 
-    `out` is None or seven float64 arrays of a's shape, all overwritten: the
+    bufs are seven float64 arrays of a's shape, all overwritten: the
     Chebyshev ladder's three rungs, 2s - 1 and the Jacobi ladder's three
-    rungs.  The value is written into one of the Chebyshev rungs (fresh ones
-    without out), so with out it is valid only until out is reused.
+    rungs.  The value is written into one of the Chebyshev rungs, so it is
+    valid only until bufs are reused.
     """
-    s_arr = np.asarray(s, dtype=np.float64)
-    cheb, x, jac = (None, None, None) if out is None else (out[:3], out[3], out[3:])
-    w = cheb_u_scaled(idx.k, a, s_arr, out=cheb)
-    x = np.subtract(np.multiply(s_arr, 2.0, out=x), 1.0, out=x)
-    p = jacobi_eval(idx.jacobi, x, out=jac)
+    w = _rung(cheb_ladder(a, s, out=bufs[:3]), idx.k)
+    x = np.subtract(np.multiply(s, 2.0, out=bufs[3]), 1.0, out=bufs[3])
+    p = _rung(jacobi_ladder(2 * idx.n - 3, idx.k + 1, np.clip(x, -1.0, 1.0, out=x), out=bufs[4:]), idx.m)
     return np.multiply(np.multiply(w, idx.coefficient(scale), out=w), p, out=w)
 
 
-def raw_kernel(idx: KernelIndex, x: SpherePoint, y: SpherePoint) -> float:
-    """Raw (uncalibrated) kernel between two sphere points."""
-    if x.n != idx.n or y.n != idx.n:
-        raise ValueError("points and kernel index live on different spheres")
-    a, s = pair_invariants(x.vec, y.vec[None, :])
-    return float(raw_kernel_values(idx, a[0], s[0]))
+def raw_kernel_values(idx: KernelIndex, a, s, scale: float = 1.0):
+    """scale * raw kernel, from the invariants a = Re<x,y> and s = |<x,y>|^2, as a fresh array.
+
+    Invariants of no quaternion, or with 2s - 1 outside [-1, 1], beyond 1e-12 are rejected.
+    """
+    a, s = np.broadcast_arrays(np.asarray(a, dtype=np.float64), np.asarray(s, dtype=np.float64))
+    _require_invariants(a, s)
+    _require_unit_interval(2.0 * s - 1.0)
+    return _kernel_row(idx, a, s, scale, [np.empty(a.shape) for _ in range(7)])
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ import math
 
 import numpy as np
 
-from quatsphere.quat_core import AXES, _left_mul_matrix
+from quatsphere.quat_core import AXES, _left_mul_matrix, pair_invariants
+from quatsphere.zonal_kernel import raw_kernel_values
 
 
 def conj(q):
@@ -46,3 +47,11 @@ def flow_points(points, axis, t):
     u = np.zeros(4)
     u[1 + AXES.index(axis)] = -t
     return left_mul(points, exp_imag(u))
+
+
+def raw_kernel(idx, x, y):
+    """Raw (uncalibrated) kernel between two sphere points."""
+    if x.n != idx.n or y.n != idx.n:
+        raise ValueError("points and kernel index live on different spheres")
+    a, s = pair_invariants(x.vec, y.vec[None, :])
+    return float(raw_kernel_values(idx, a[0], s[0]))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special
 
-from quatsphere import JacobiParams, binomial, cheb_u_scaled, jacobi_eval
+from quatsphere import JacobiParams, cheb_u_scaled, jacobi_eval
 from quatsphere.ortho_poly import cheb_ladder, jacobi_ladder
 
 
@@ -249,21 +249,3 @@ class TestLadderContract:
             assert type(cheb_u_scaled(k, 0.3, 0.5)) is float
             assert type(jacobi_eval(JacobiParams(1, 2, k), 0.3)) is float
 
-
-class TestBinomial:
-    def test_values(self):
-        assert binomial(6, 1) == 6
-        assert binomial(4, 2) == 6
-        assert binomial(11, 0) == 1
-        assert binomial(60, 30) == math.comb(60, 30)
-
-    def test_exactness_is_integer(self):
-        assert isinstance(binomial(40, 17), int)
-
-    def test_range_errors(self):
-        with pytest.raises(ValueError):
-            binomial(3, 4)
-        with pytest.raises(ValueError):
-            binomial(3, -1)
-        with pytest.raises(TypeError):
-            binomial(3.0, 1)

@@ -10,14 +10,17 @@ from quatsphere import (
     SpherePoint,
     UnusableKernelError,
     calibrate,
-    in_index_set,
     index_range,
-    raw_kernel,
+    ortho_poly,
     sphere_samples,
+    verification,
+    zonal_kernel,
 )
-from quatsphere.quat_core import pair_invariants_matrix
-from quatsphere.verification import _TAG_PRODUCT, _merge_moments, _product_integrals
+from quatsphere.quat_core import pair_invariants_matrix, sphere_sample_chunks
+from quatsphere.verification import _TAG_PRODUCT, _merge_moments, _product_integrals, _product_moments
 from quatsphere.zonal_kernel import raw_kernel_values
+
+from .oracles import raw_kernel
 
 
 def point_pair_with_invariants(a: float, s: float) -> tuple[SpherePoint, SpherePoint]:
@@ -32,20 +35,29 @@ def point_pair_with_invariants(a: float, s: float) -> tuple[SpherePoint, SphereP
     return x, SpherePoint(y)
 
 
+def admissible(h: int, m: int) -> bool:
+    """Whether KernelIndex(h, m, 2) can be built."""
+    try:
+        KernelIndex(h, m, 2)
+    except ValueError:
+        return False
+    return True
+
+
 class TestIndexSet:
     def test_membership(self):
-        assert in_index_set(4, 2)
-        assert not in_index_set(3, 2)
-        assert in_index_set(0, 0)
+        assert admissible(4, 2)
+        assert not admissible(3, 2)
+        assert admissible(0, 0)
 
     @given(st.integers(0, 200), st.integers(0, 200))
     @settings(max_examples=200, deadline=None)
     def test_matches_inequality(self, h, m):
-        assert in_index_set(h, m) == (2 * m <= h)
+        assert admissible(h, m) == (2 * m <= h)
 
     def test_invalid_indices(self):
         with pytest.raises(ValueError):
-            in_index_set(-1, 0)
+            KernelIndex(-1, 0, 2)
         with pytest.raises(ValueError):
             KernelIndex(3, 2, 2)
         with pytest.raises(ValueError):
@@ -113,6 +125,20 @@ class TestRawKernel:
         idx = KernelIndex(5, 1, 2)
         x, y = point_pair_with_invariants(0.0, 0.0)
         assert math.isfinite(raw_kernel(idx, x, y))
+
+    @pytest.mark.parametrize("a, s_in, s_out, message", [
+        (0.0, -5e-13, -2e-12, "non-negative"),
+        (0.5, 0.25 - 5e-13, 0.25 - 2e-12, "a\\^2 <= s"),
+        (0.0, 1.0 + 2.5e-13, 1.0 + 2e-12, "outside \\[-1, 1\\]"),
+    ], ids=["negative-s", "a-squared-above-s", "2s-1-above-1"])
+    def test_values_outside_the_domain_are_rejected(self, a, s_in, s_out, message):
+        # s < -1e-12, a^2 > s + 1e-12 and 2s - 1 > 1 + 1e-12 are rejected; within 1e-12 they are not
+        idx = KernelIndex(4, 1, 2)
+        assert math.isfinite(float(raw_kernel_values(idx, a, s_in)))
+        with pytest.raises(ValueError, match=message):
+            raw_kernel_values(idx, a, s_out)
+        with pytest.raises(ValueError, match=message):
+            raw_kernel_values(idx, np.array([0.1, a]), np.array([0.2, s_out]))
 
 
 class TestCalibration:
@@ -220,9 +246,7 @@ class TestBlockedSamplePath:
         assert stderr == pytest.approx(np.std(prod, ddof=1) / math.sqrt(20_000), rel=1e-12)
 
     def test_ten_trials_over_ragged_chunks_and_blocks(self, bank8):
-        # 20 endpoints make sub-blocks of 1638 rows and blocks of 8190, so the
-        # count ends ragged in a chunk, a block and a sub-block, and each full
-        # chunk ends ragged in a block and a sub-block
+        # the count ends in a 5-row chunk, which is also a ragged block
         keys = [(3, 1), (2, 1), (4, 2), (0, 0), (5, 2), (1, 0), (4, 0), (2, 0), (5, 1), (3, 0)]
         trials = [(bank8[keys[t]], bank8[keys[(3 * t + 1) % 10]]) for t in range(10)]
         count = 2 * (1 << 16) + 5
@@ -231,6 +255,45 @@ class TestBlockedSamplePath:
             prod = pointwise_products(ck1, ck2, count, 5, trial)
             assert est == pytest.approx(np.mean(prod), rel=1e-12), trial
             assert stderr == pytest.approx(np.std(prod, ddof=1) / math.sqrt(count), rel=1e-12), trial
+
+    def test_pair_invariants_once_per_sample_block(self, bank8, monkeypatch):
+        # all endpoints share the invariants of a block: one GEMM per block of
+        # _PASS_ROWS samples, not per endpoint or trial
+        calls = []
+
+        def counting(xs, ys, **kw):
+            calls.append((xs.shape[0], ys.shape[0]))
+            return pair_invariants_matrix(xs, ys, **kw)
+
+        monkeypatch.setattr(verification, "pair_invariants_matrix", counting)
+        monkeypatch.setattr(verification, "_PASS_ROWS", 7000)
+        trials = [(bank8[(3, 1)], bank8[(2, 1)]), (bank8[(4, 2)], bank8[(4, 2)])]
+        _product_integrals(trials, 2, (1 << 16) + 5, 5, _TAG_PRODUCT)
+        # the first chunk is nine whole blocks and a ragged one, and the count ends in a 5-row chunk
+        assert calls == [(4, 7000)] * 9 + [(4, (1 << 16) - 63_000), (4, 5)]
+
+    def test_pass_skips_the_checked_evaluators(self, bank8, monkeypatch):
+        # the pass walks the ladders on invariants it computed from unit vectors, with no domain re-check
+        checked = {zonal_kernel.raw_kernel_values, ortho_poly.cheb_u_scaled, ortho_poly.jacobi_eval}
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kw):
+                calls.append(fn.__name__)
+                return fn(*args, **kw)
+
+            return wrapper
+
+        for module in (ortho_poly, zonal_kernel, verification):
+            for name, value in list(vars(module).items()):
+                if any(value is fn for fn in checked):
+                    monkeypatch.setattr(module, name, counted(value))
+        kernels = [(bank8[(3, 1)], bank8[(2, 1)]), (bank8[(5, 2)], bank8[(4, 0)])]
+        ends = sphere_samples(2, 4, 8)
+        _product_moments(kernels, ends, sphere_sample_chunks(2, 10_000, 9))
+        assert calls == []
+        bank8[(3, 1)].values(ends[0], ends)
+        assert "raw_kernel_values" in calls
 
     def test_product_integral_refuses_unusable_kernels(self, bank8):
         # the trial with an unusable kernel, first or second, is reported; the others are still evaluated
