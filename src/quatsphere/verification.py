@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import quat_core
 from .diffops import FDConfig, eigencheck, l1_l2_identity
 from .quat_core import Array, SpherePoint, pair_invariants_matrix, seeded_rng, sphere_sample_chunks, sphere_samples
 from .spectral import cone_gap_check, psi
@@ -145,16 +146,6 @@ def check_eigenvalues(
     return CheckResult(name="eigencheck", passed=passed, detail=detail)
 
 
-# sample rows per block of the product pass: one GEMM call per block gives
-# the invariants of every endpoint, and each kernel row walks the ladders over
-# the whole block.  Both checks at n = 2 and 3 (2e5 samples, seed 1, best of
-# 5 each, one BLAS thread, 4 alternating sets) took 0.51-0.61 s at 4096 rows,
-# 0.48-0.66 s at 8192 and 0.53-0.69 s at 16384, against 0.57-0.80 s for the
-# sub-block layout this replaced; ru_maxrss was 44.3, 46.8 and 51.5 MB
-# against its 45.9 MB, so 4096 is the largest block that holds no more.
-_PASS_ROWS = 4096
-
-
 def _merge_moments(moments, block: Array):
     """Chan-Golub-LeVeque merge of (count, mean, centred sum of squares) per row with a (T, R) block.
 
@@ -170,29 +161,30 @@ def _merge_moments(moments, block: Array):
     return total, mean + delta * (rows / total), m2 + b_m2 + delta * delta * (count * rows / total)
 
 
-def _product_moments(kernels, ends: Array, chunks) -> tuple[Array, Array]:
+def _product_moments(kernels, ends: Array, pieces) -> tuple[Array, Array]:
     """Mean and stderr over the sample rows y of K1(x, y) K2(y, z), for every trial in one pass.
 
     Trial t takes its kernels (K1, K2) from kernels[t] and x, z from rows 2t
-    and 2t + 1 of ends.  The rows of each chunk (such as those of
-    sphere_sample_chunks) are taken in blocks of _PASS_ROWS rows.  Per block
-    one GEMM call gives the invariants of every endpoint, one contiguous row
-    per endpoint; then each trial's two kernel rows walk the ladders, in
-    reused buffers.
+    and 2t + 1 of ends.  Each piece of at most quat_core._SAMPLE_PIECE rows
+    (such as those of sphere_sample_chunks) is one block: one GEMM call
+    gives the invariants of every endpoint, one contiguous row per
+    endpoint; then each trial's two kernel rows walk the ladders.  All of it
+    runs in one buffer stack: a, s, and a scratch region that holds
+    pair_invariants_matrix's third buffer, then zonal_kernel._kernel_row's
+    seven buffers and the trial products.
     """
-    flat = np.empty((3, len(ends) * _PASS_ROWS))  # a, s and pair_invariants_matrix's scratch
-    bufs = np.empty((7, _PASS_ROWS))  # zonal_kernel._kernel_row's buffers
-    prods = np.empty((len(kernels), _PASS_ROWS))
-    moments = (0, np.zeros(len(kernels)), np.zeros(len(kernels)))
-    for chunk in chunks:
-        for lo in range(0, len(chunk), _PASS_ROWS):
-            ys = chunk[lo : lo + _PASS_ROWS]
-            w = len(ys)
-            a, s = pair_invariants_matrix(ends, ys, out=[v[: len(ends) * w].reshape(-1, w) for v in flat])
-            for t, (ck1, ck2) in enumerate(kernels):
-                prods[t, :w] = _kernel_row(ck1.index, a[2 * t], s[2 * t], ck1.c, bufs[:, :w])
-                prods[t, :w] *= _kernel_row(ck2.index, a[2 * t + 1], s[2 * t + 1], ck2.c, bufs[:, :w])
-            moments = _merge_moments(moments, prods[:, :w])
+    e, t = len(ends), len(kernels)
+    stack = quat_core._aligned_empty((2 * e + max(e, 7 + t), quat_core._SAMPLE_PIECE))
+    moments = (0, np.zeros(t), np.zeros(t))
+    for ys in pieces:
+        w = len(ys)
+        a, s, c = (stack[lo : lo + e].reshape(-1)[: e * w].reshape(e, w) for lo in (0, e, 2 * e))
+        pair_invariants_matrix(ends, ys, out=[a, s, c])
+        bufs, prods = stack[2 * e : 2 * e + 7, :w], stack[2 * e + 7 : 2 * e + 7 + t, :w]
+        for i, (ck1, ck2) in enumerate(kernels):
+            prods[i] = _kernel_row(ck1.index, a[2 * i], s[2 * i], ck1.c, bufs)
+            prods[i] *= _kernel_row(ck2.index, a[2 * i + 1], s[2 * i + 1], ck2.c, bufs)
+        moments = _merge_moments(moments, prods)
     count, mean, m2 = moments
     if count < 2:
         raise ValueError(f"a Monte Carlo product needs at least 2 samples, got {count}")

@@ -9,8 +9,9 @@ import math
 
 import numpy as np
 
-from quatsphere.quat_core import AXES, _left_mul_matrix, pair_invariants
-from quatsphere.zonal_kernel import raw_kernel_values
+from quatsphere.quat_core import AXES, _left_mul_matrix, pair_invariants, pair_invariants_matrix
+from quatsphere.verification import _merge_moments
+from quatsphere.zonal_kernel import _kernel_row, raw_kernel_values
 
 
 def conj(q):
@@ -55,3 +56,28 @@ def raw_kernel(idx, x, y):
         raise ValueError("points and kernel index live on different spheres")
     a, s = pair_invariants(x.vec, y.vec[None, :])
     return float(raw_kernel_values(idx, a[0], s[0]))
+
+
+def chunked_product_moments(kernels, ends, samples):
+    """Mean and stderr of verification's product pass, walking a whole sample array chunk by chunk.
+
+    Each 65536-row chunk is taken in blocks of 4096 rows, and each block is
+    one GEMM call and one moment merge, in separate buffers.
+    """
+    chunk, block = 1 << 16, 4096
+    flat = np.empty((3, len(ends) * block))
+    bufs = np.empty((7, block))
+    prods = np.empty((len(kernels), block))
+    moments = (0, np.zeros(len(kernels)), np.zeros(len(kernels)))
+    for c0 in range(0, len(samples), chunk):
+        rows = samples[c0 : c0 + chunk]
+        for lo in range(0, len(rows), block):
+            ys = rows[lo : lo + block]
+            w = len(ys)
+            a, s = pair_invariants_matrix(ends, ys, out=[v[: len(ends) * w].reshape(-1, w) for v in flat])
+            for t, (ck1, ck2) in enumerate(kernels):
+                prods[t, :w] = _kernel_row(ck1.index, a[2 * t], s[2 * t], ck1.c, bufs[:, :w])
+                prods[t, :w] *= _kernel_row(ck2.index, a[2 * t + 1], s[2 * t + 1], ck2.c, bufs[:, :w])
+            moments = _merge_moments(moments, prods[:, :w])
+    count, mean, m2 = moments
+    return mean, np.sqrt(m2 / (count - 1)) / math.sqrt(count)

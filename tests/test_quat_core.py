@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quatsphere import SpherePoint, sphere_samples, tangent_frame
+from quatsphere import SpherePoint, quat_core, sphere_samples, tangent_frame
 from quatsphere.quat_core import (
     _aligned_empty, _left_mul_matrix, geodesic_points, pair_invariants, pair_invariants_matrix, sphere_sample_chunks,
 )
@@ -211,13 +211,56 @@ class TestSampling:
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("count", [1, 1000, 1 << 16, 2 * (1 << 16) + 5])
     def test_chunk_iterator_gives_the_same_rows(self, n, count):
-        # one reused buffer, chunks of 65536 rows, the last one ragged
+        # one reused buffer, pieces of 4096 rows, the last one ragged
         rows, sizes = [], []
         for chunk in sphere_sample_chunks(n, count, [4, n]):
             rows.append(chunk.copy())
             sizes.append(len(chunk))
-        assert sizes == [min(1 << 16, count - lo) for lo in range(0, count, 1 << 16)]
+        assert sizes == [min(4096, count - lo) for lo in range(0, count, 4096)]
         assert np.array_equal(np.concatenate(rows), sphere_samples(n, count, [4, n]))
+
+    @staticmethod
+    def piece_bounds(n, count, seed):
+        """(start, stop) rows of each piece sphere_sample_chunks yields, and the rows themselves."""
+        bounds, rows, lo = [], [], 0
+        for piece in sphere_sample_chunks(n, count, seed):
+            bounds.append((lo, lo + len(piece)))
+            rows.append(piece.copy())
+            lo += len(piece)
+        return bounds, np.concatenate(rows)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("count", [1, 4095, 4096, 4097, 1 << 16, (1 << 16) + 1, 2 * (1 << 16) + 5])
+    def test_pieces_stay_inside_their_substream(self, n, count):
+        bounds, rows = self.piece_bounds(n, count, [7, n])
+        substreams = [(s0, min(s0 + (1 << 16), count)) for s0 in range(0, count, 1 << 16)]
+        assert bounds == [(lo, min(lo + 4096, end)) for s0, end in substreams for lo in range(s0, end, 4096)]
+        assert all(lo >> 16 == (hi - 1) >> 16 for lo, hi in bounds)
+        assert rows.tobytes() == sphere_samples(n, count, [7, n]).tobytes()
+
+    def test_pieces_that_do_not_divide_a_substream(self, monkeypatch):
+        # 7000-row pieces: each substream ends in a ragged piece, and the rows do not move
+        count = 2 * (1 << 16) + 5
+        ref = sphere_samples(3, count, 11)
+        monkeypatch.setattr(quat_core, "_SAMPLE_PIECE", 7000)
+        bounds, rows = self.piece_bounds(3, count, 11)
+        tail = (1 << 16) - 9 * 7000
+        sizes = [7000] * 9 + [tail] + [7000] * 9 + [tail] + [5]
+        assert [hi - lo for lo, hi in bounds] == sizes
+        assert all(lo >> 16 == (hi - 1) >> 16 for lo, hi in bounds)
+        assert rows.tobytes() == ref.tobytes()
+        assert sphere_samples(3, count, 11).tobytes() == ref.tobytes()
+
+    def test_numpy_integer_seed_matches_the_python_int(self):
+        for seed in (np.int64(3), np.uint32(3), np.int8(3)):
+            assert np.array_equal(sphere_samples(2, 3, seed), sphere_samples(2, 3, 3))
+        assert np.array_equal(sphere_samples(2, 3, [np.int64(3), 5]), sphere_samples(2, 3, [3, 5]))
+
+    def test_float_seed_is_refused(self):
+        with pytest.raises(TypeError):
+            sphere_samples(2, 3, 3.0)
+        with pytest.raises(TypeError):
+            sphere_sample_chunks(2, 3, np.float64(3.0))
 
     def test_chunk_iterator_reuses_one_buffer(self):
         chunks = sphere_sample_chunks(2, 2 * (1 << 16) + 5, 9)

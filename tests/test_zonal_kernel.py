@@ -12,6 +12,7 @@ from quatsphere import (
     calibrate,
     index_range,
     ortho_poly,
+    quat_core,
     sphere_samples,
     verification,
     zonal_kernel,
@@ -20,7 +21,7 @@ from quatsphere.quat_core import pair_invariants_matrix, sphere_sample_chunks
 from quatsphere.verification import _TAG_PRODUCT, _merge_moments, _product_integrals, _product_moments
 from quatsphere.zonal_kernel import raw_kernel_values
 
-from .oracles import raw_kernel
+from .oracles import chunked_product_moments, raw_kernel
 
 
 def point_pair_with_invariants(a: float, s: float) -> tuple[SpherePoint, SpherePoint]:
@@ -257,8 +258,8 @@ class TestBlockedSamplePath:
             assert stderr == pytest.approx(np.std(prod, ddof=1) / math.sqrt(count), rel=1e-12), trial
 
     def test_pair_invariants_once_per_sample_block(self, bank8, monkeypatch):
-        # all endpoints share the invariants of a block: one GEMM per block of
-        # _PASS_ROWS samples, not per endpoint or trial
+        # all endpoints share the invariants of a block: one GEMM per sample
+        # piece, not per endpoint or trial
         calls = []
 
         def counting(xs, ys, **kw):
@@ -266,11 +267,23 @@ class TestBlockedSamplePath:
             return pair_invariants_matrix(xs, ys, **kw)
 
         monkeypatch.setattr(verification, "pair_invariants_matrix", counting)
-        monkeypatch.setattr(verification, "_PASS_ROWS", 7000)
+        monkeypatch.setattr(quat_core, "_SAMPLE_PIECE", 7000)
         trials = [(bank8[(3, 1)], bank8[(2, 1)]), (bank8[(4, 2)], bank8[(4, 2)])]
         _product_integrals(trials, 2, (1 << 16) + 5, 5, _TAG_PRODUCT)
-        # the first chunk is nine whole blocks and a ragged one, and the count ends in a 5-row chunk
+        # the first substream is nine whole pieces and a ragged one, and the count ends in a 5-row substream
         assert calls == [(4, 7000)] * 9 + [(4, (1 << 16) - 63_000), (4, 5)]
+
+    @pytest.mark.parametrize("trials", [2, 10])
+    def test_pieces_match_the_chunk_then_block_walk(self, bank8, trials):
+        # each piece is one block of the walk over 65536-row chunks, so every GEMM and merge keeps its bits
+        keys = [(3, 1), (2, 1), (4, 2), (0, 0), (5, 2), (1, 0), (4, 0), (2, 0), (5, 1), (3, 0)]
+        kernels = [(bank8[keys[t]], bank8[keys[(3 * t + 1) % 10]]) for t in range(trials)]
+        ends = sphere_samples(2, 2 * trials, 8)
+        count = 2 * (1 << 16) + 5
+        mean, stderr = _product_moments(kernels, ends, sphere_sample_chunks(2, count, 9))
+        ref_mean, ref_stderr = chunked_product_moments(kernels, ends, sphere_samples(2, count, 9))
+        assert mean.tobytes() == ref_mean.tobytes()
+        assert stderr.tobytes() == ref_stderr.tobytes()
 
     def test_pass_skips_the_checked_evaluators(self, bank8, monkeypatch):
         # the pass walks the ladders on invariants it computed from unit vectors, with no domain re-check
