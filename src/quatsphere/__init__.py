@@ -20,7 +20,6 @@ from .zonal_kernel import (
 from .diffops import (
     DegenerateProbesError,
     EigencheckReport,
-    FDConfig,
     eigencheck,
     gamma_apply,
     l1_l2_identity,

@@ -17,7 +17,7 @@ Every command builds the kernels it needs from their exact constants, so no
 command depends on an earlier run.
 
 Exit codes: 0 success; 1 a check failed or the eigencheck probes are
-degenerate; 2 a usage, parameter or I/O error.
+degenerate; 2 a usage, parameter or I/O error, or a run too large for memory.
 Errors print one line on stderr rather than a traceback.
 """
 
@@ -353,6 +353,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
         return 2
 
 

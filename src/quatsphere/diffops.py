@@ -31,62 +31,43 @@ class DegenerateProbesError(RuntimeError):
     """Raised when every candidate probe sits too close to a zero of f."""
 
 
-@dataclass(frozen=True)
-class FDConfig:
-    step: float = 1e-2
-    richardson: bool = True
-
-    def __post_init__(self):
-        if not 1e-4 <= self.step <= 1e-1:
-            raise ValueError(f"step must lie in [1e-4, 1e-1], got {self.step}")
-
-
-def _steps(cfg: FDConfig) -> list[float]:
-    return [cfg.step, cfg.step / 2.0] if cfg.richardson else [cfg.step]
-
-
-def _extrapolate(coarse: float, fine: float, cfg: FDConfig) -> float:
-    # one Richardson level for an O(tau^2) central difference
-    return (4.0 * fine - coarse) / 3.0 if cfg.richardson else coarse
-
-
-def _great_circle_sum(f: PointFunction, x: SpherePoint | Array, directions: Callable[[Array], Array], cfg: FDConfig):
+def _great_circle_sum(f: PointFunction, pts: Array, directions: Callable[[Array], Array], step: float) -> Array:
     """Minus the summed second differences of f along t -> cos(t) y + sin(t) e.
 
     The sum runs over the unit tangents e in directions(pts), shape (P, C, 4n),
-    at every point y of pts; each difference is Richardson-extrapolated.  The
-    centres and every stencil point go to f as one (P, S, 4n) array.  A
-    SpherePoint gives a float, a (P, 4n) array of points a (P,) array.
+    at every point y of the (P, 4n) array pts; each difference, at steps tau
+    and tau/2, is Richardson-extrapolated.  The centres and every stencil
+    point go to f as one (P, S, 4n) array.
     """
-    pts = np.atleast_2d(x.vec if isinstance(x, SpherePoint) else x)
-    taus = np.array(_steps(cfg))
+    if not 1e-4 <= step <= 1e-1:
+        raise ValueError(f"step must lie in [1e-4, 1e-1], got {step}")
+    taus = np.array([step, step / 2.0])
     # curves[p, c, t, 0 or 1] is the point at +tau_t or -tau_t along direction c from pts[p]
     dirs = directions(pts)[:, :, None, None, :]
     curves = geodesic_points(pts[:, None, None, None, :], dirs, np.stack([taus, -taus], axis=1))
     vals = f(np.concatenate([pts[:, None, :], curves.reshape(len(pts), -1, pts.shape[-1])], axis=1))
     side = vals[:, 1:].reshape(curves.shape[:-1])
     second = (side[..., 0] - 2.0 * vals[:, 0, None, None] + side[..., 1]) / (taus * taus)
-    total = -np.sum(_extrapolate(second[..., 0], second[..., -1], cfg), axis=1)
-    return float(total[0]) if isinstance(x, SpherePoint) else total
+    return -np.sum((4.0 * second[..., 1] - second[..., 0]) / 3.0, axis=1)
 
 
-def gamma_apply(f: PointFunction, x: SpherePoint | Array, cfg: FDConfig = FDConfig()):
-    """Sublaplacian -(T_i^2 + T_j^2 + T_k^2) applied to f at x (a point or a (P, 4n) array).
+def gamma_apply(f: PointFunction, pts: Array, step: float = 1e-2) -> Array:
+    """Sublaplacian -(T_i^2 + T_j^2 + T_k^2) applied to f at each point of a (P, 4n) array.
 
     For a unit imaginary u, exp(-u t) x = cos(t) x - sin(t) u x: each flow is
     the great circle through x along -u x.
     """
-    return _great_circle_sum(f, x, lambda pts: np.stack([-_apply_axis_flat(pts, ax) for ax in AXES], axis=1), cfg)
+    return _great_circle_sum(f, pts, lambda y: np.stack([-_apply_axis_flat(y, ax) for ax in AXES], axis=1), step)
 
 
-def laplace_beltrami_apply(f: PointFunction, y: SpherePoint | Array, cfg: FDConfig = FDConfig()):
-    """Laplace-Beltrami operator (positive spectrum convention) at y (a point or a (P, 4n) array).
+def laplace_beltrami_apply(f: PointFunction, pts: Array, step: float = 1e-2) -> Array:
+    """Laplace-Beltrami operator (positive spectrum convention) at each point of a (P, 4n) array.
 
     Sums second central differences of t -> f(cos(t) y + sin(t) e) over an
     orthonormal tangent frame {e} and negates, so eigenfunctions of degree h
     return +h(h + 4n - 2) times themselves.
     """
-    return _great_circle_sum(f, y, tangent_frame, cfg)
+    return _great_circle_sum(f, pts, tangent_frame, step)
 
 
 @dataclass(frozen=True)
@@ -102,15 +83,6 @@ class EigencheckReport:
     rel_err_gamma: float
     probes_used: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "index": {"h": self.h, "m": self.m, "n": self.n},
-            "lambda_delta_est": self.lambda_delta_est,
-            "lambda_gamma_est": self.lambda_gamma_est,
-            "rel_err_delta": self.rel_err_delta,
-            "rel_err_gamma": self.rel_err_gamma,
-        }
-
 
 def _error(est: float, true: float) -> float:
     # relative error where the target is nonzero, absolute at zero eigenvalues
@@ -121,7 +93,7 @@ def eigencheck(
     ck: CalibratedKernel,
     x0: SpherePoint,
     probes: int = 8,
-    cfg: FDConfig = FDConfig(),
+    step: float = 1e-2,
     seed: int = 0,
 ) -> EigencheckReport:
     """Estimate both eigenvalues on the kernel section y -> K(x0, y).
@@ -140,8 +112,8 @@ def eigencheck(
         raise DegenerateProbesError(f"no probe with |f| above 0.1*max for {idx}")
     chosen = eligible[:probes]
 
-    lam_d = float(np.median(laplace_beltrami_apply(f, pool[chosen], cfg) / fvals[chosen]))
-    lam_g = float(np.median(gamma_apply(f, pool[chosen], cfg) / fvals[chosen]))
+    lam_d = float(np.median(laplace_beltrami_apply(f, pool[chosen], step) / fvals[chosen]))
+    lam_g = float(np.median(gamma_apply(f, pool[chosen], step) / fvals[chosen]))
     return EigencheckReport(
         h=idx.h,
         m=idx.m,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -30,7 +29,7 @@ _DISTANCE_TILE = 1024
 # OpenBLAS (0.3.31, AVX-512) computes the last ncols % 8 columns of a large product
 # with a remainder kernel whose values can differ in the last bit
 _LANE = 8
-# reference atoms kept by correlation_dimension, and radii in its default fit window
+# reference atoms kept by correlation_dimension, and radii in its fit window
 _MAX_REFS = 4096
 _N_BINS = 16
 
@@ -217,17 +216,13 @@ def _nearest_sq_distances(points: Array, rows: Array) -> Array:
     return nn
 
 
-def correlation_dimension(
-    measure: DiscreteMeasure,
-    r_grid: Sequence[float] | None = None,
-    seed: int = 0,
-) -> DimensionEstimate:
+def correlation_dimension(measure: DiscreteMeasure, seed: int = 0) -> DimensionEstimate:
     """Correlation-integral slope of a nonnegative discrete measure.
 
     All pairs are used when the measure has at most _MAX_REFS atoms; larger
     measures are thinned to _MAX_REFS reference atoms drawn proportionally to
     their weights, which leaves C(r) unbiased up to normalization (and the
-    log-log slope is normalization-free).  The default fit window is
+    log-log slope is normalization-free).  The fit window is
     [2 * median NN distance, diameter / 4] with _N_BINS log-spaced radii.
     """
     if not measure.nonnegative:
@@ -263,18 +258,12 @@ def correlation_dimension(
     if diameter < 1e-9:
         return degenerate()
 
-    if r_grid is not None:
-        r = np.asarray(sorted(r_grid), dtype=np.float64)
-        if len(r) < 3 or r[0] < 0:
-            raise ValueError("need at least 3 nonnegative radii")
-        r_lo, r_hi = float(r[0]), float(r[-1])
-    else:
-        nn = _nearest_sq_distances(pts, ref_idx[:256])
-        r_lo = 2.0 * math.sqrt(np.median(np.maximum(nn, 0.0)))
-        r_hi = diameter / 4.0
-        if r_lo >= r_hi:
-            r_lo = r_hi / 16.0
-        r = np.geomspace(r_lo, r_hi, _N_BINS)
+    nn = _nearest_sq_distances(pts, ref_idx[:256])
+    r_lo = 2.0 * math.sqrt(np.median(np.maximum(nn, 0.0)))
+    r_hi = diameter / 4.0
+    if r_lo >= r_hi:
+        r_lo = r_hi / 16.0
+    r = np.geomspace(r_lo, r_hi, _N_BINS)
     edges = np.concatenate([[0.0], r])
     counts = _pair_counts(pts, wn, ref_idx, ref_w, edges, uniform)
 

@@ -5,13 +5,13 @@ W_k(a, s) = |q|^k U_k(a/|q|) (a = Re q, s = |q|^2) are both evaluated by
 their three-term recurrences, which stay well conditioned for the degrees
 used here (m up to ~30).  Each recurrence is written once, as a ladder
 generator yielding degree after degree: the pointwise evaluators take one
-rung, and the kernel-sum engine in spectral walks every rung it needs.
+rung, and zonal_kernel._kernel_rungs walks every rung the kernels need.
 
 A ladder writes each rung in place into one of three rotating buffers, so
-a yielded rung is valid only until the ladder advances.  The kernel-sum
-engine and the zonal kernel rows pass buffers they reuse for every block;
-the pointwise evaluators check their domain and let the ladder allocate,
-so each call returns a fresh array.
+a yielded rung is valid only until the ladder advances.  The kernel walk
+passes buffers its callers reuse for every block; the pointwise evaluators
+check their domain and let the ladder allocate, so each call returns a
+fresh array.
 """
 
 from __future__ import annotations

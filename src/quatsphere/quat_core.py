@@ -72,20 +72,18 @@ class SpherePoint:
         return cls(v)
 
 
-def tangent_frame(y: SpherePoint | Array) -> Array:
-    """Orthonormal frame of T_y S^{4n-1}, shape (4n-1, 4n).
+def tangent_frame(pts: Array) -> Array:
+    """Orthonormal frames of T_y S^{4n-1} at each point y of a (P, 4n) array, shape (P, 4n-1, 4n).
 
-    For a (P, 4n) array of points the frames come from one stacked QR, shape
-    (P, 4n-1, 4n).  The first three rows are iy, jy, ky (already orthonormal
-    and orthogonal to y); the remaining 4n-4 rows complete the frame via QR.
+    The frames come from one stacked QR.  The first three rows are iy, jy,
+    ky (already orthonormal and orthogonal to y); the remaining 4n-4 rows
+    complete the frame via QR.
     """
-    pts = np.atleast_2d(y.vec if isinstance(y, SpherePoint) else y)
     count, dim = pts.shape
     axis_vecs = np.stack([_apply_axis_flat(pts, ax) for ax in AXES], axis=1)
     seed_cols = np.concatenate([pts[:, :, None], axis_vecs.transpose(0, 2, 1)], axis=2)
     q, _ = np.linalg.qr(np.concatenate([seed_cols, np.broadcast_to(np.eye(dim), (count, dim, dim))], axis=2))
-    frame = np.concatenate([axis_vecs, q[:, :, 4:dim].transpose(0, 2, 1)], axis=1)
-    return frame[0] if isinstance(y, SpherePoint) else frame
+    return np.concatenate([axis_vecs, q[:, :, 4:dim].transpose(0, 2, 1)], axis=1)
 
 
 def geodesic_points(y: Array, e: Array, ts: Array) -> Array:

@@ -27,9 +27,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import quat_core
-from .ortho_poly import cheb_ladder, jacobi_ladder
 from .quat_core import Array, pair_invariants_matrix, sphere_samples
-from .zonal_kernel import CalibratedKernel
+from .zonal_kernel import CalibratedKernel, _kernel_rungs, index_range
 
 _TAG_SCAN = 31
 
@@ -229,7 +228,7 @@ class SpectrumReport:
 KernelBank = Mapping[tuple[int, int], CalibratedKernel]
 
 # block buffers per _projection_matrix call: a, s and one scratch (which
-# later holds W_k P_m), 2s - 1, and three rotating rungs per ladder
+# later holds W_k P_m), then zonal_kernel._kernel_rungs' seven
 _ENGINE_BUFFERS = 10
 
 
@@ -240,26 +239,25 @@ def _projection_matrix(measure: DiscreteMeasure, cks: Sequence[CalibratedKernel]
     project_values all run on it.  The points xs are taken in chunks and
     the atoms in blocks so that a block holds at most
     quat_core._BLOCK_ELEMENTS pairs, and the ladder arrays stay cache-sized.
-    Per block the pair invariants are computed once, the Chebyshev ladder
-    W_0..W_kmax is walked once, and for each ladder rung the fixed-beta
-    Jacobi ladder is walked once, with contributions emitted at every
-    degree some kernel needs.  Every block
-    array (the invariants, 2s - 1, both ladders' rungs and the W_k P_m
-    product) is a view into one stack of _ENGINE_BUFFERS block-sized
+    Per block the pair invariants are computed once and one walk of
+    zonal_kernel._kernel_rungs yields W_k P_m for every index some kernel
+    needs.  Every block array (the invariants, the walk's rungs and the
+    W_k P_m product) is a view into one stack of _ENGINE_BUFFERS block-sized
     buffers allocated per call, so the walk allocates nothing per rung.
+    With no kernel the values are zeros and nothing is computed.
     """
     for ck in cks:
         ck.require_usable()
         if ck.index.n != measure.n:
             raise ValueError("measure and kernels live on different spheres")
+    out = np.zeros((len(cks), xs.shape[0]))
+    if not cks:
+        return out
     by_k: dict[int, dict[int, list[tuple[int, float]]]] = {}
     for row, ck in enumerate(cks):
         idx = ck.index
         by_k.setdefault(idx.k, {}).setdefault(idx.m, []).append((row, idx.coefficient(ck.c)))
-    kmax = max(by_k) if by_k else 0
-    alpha = 2 * measure.n - 3
 
-    out = np.zeros((len(cks), xs.shape[0]))
     chunk = max(1, min(xs.shape[0], quat_core._BLOCK_ELEMENTS))
     block = max(1, quat_core._BLOCK_ELEMENTS // chunk)
     stack = quat_core._aligned_empty((_ENGINE_BUFFERS, chunk * min(block, measure.natoms)))
@@ -269,22 +267,11 @@ def _projection_matrix(measure: DiscreteMeasure, cks: Sequence[CalibratedKernel]
         wb = measure.weights[lo : lo + block]
         bufs = [b[: len(xc) * len(pts)].reshape(len(xc), len(pts)) for b in stack]
         a, s = pair_invariants_matrix(xc, pts, out=bufs[0:3])
-        prod = bufs[2]
-        x_arg = np.multiply(s, 2.0, out=bufs[3])
-        np.subtract(x_arg, 1.0, out=x_arg)
-        for k, wk in zip(range(kmax + 1), cheb_ladder(a, s, out=bufs[4:7])):
-            rows_by_degree = by_k.get(k)
-            if not rows_by_degree:
-                continue
-            ladder = jacobi_ladder(alpha, k + 1.0, x_arg, out=bufs[7:10])
-            for deg, p_deg in zip(range(max(rows_by_degree) + 1), ladder):
-                rows = rows_by_degree.get(deg)
-                if not rows:
-                    continue
-                # P_0 = 1, and multiplying by exactly 1.0 changes no bit
-                sums = (wk if deg == 0 else np.multiply(wk, p_deg, out=prod)) @ wb
-                for row, coeff in rows:
-                    out[row, p0 : p0 + chunk] += coeff * sums
+        for k, m, wk, pm in _kernel_rungs(measure.n, a, s, by_k, bufs[3:]):
+            # P_0 = 1, and multiplying by exactly 1.0 changes no bit
+            sums = (wk if m == 0 else np.multiply(wk, pm, out=bufs[2])) @ wb
+            for row, coeff in by_k[k][m]:
+                out[row, p0 : p0 + chunk] += coeff * sums
     return out
 
 
@@ -314,7 +301,7 @@ def spectrum_scan(
         raise ValueError("h_max must be non-negative")
     xs = sphere_samples(measure.n, probes, [seed, measure.n, _TAG_SCAN])
     if indices is None:
-        indices = [(h, m) for h in range(h_max + 1) for m in range(h // 2 + 1)]
+        indices = [(idx.h, idx.m) for idx in index_range(measure.n, h_max)]
     else:
         indices = list(indices)
     cks = [bank[hm] for hm in indices]
@@ -385,7 +372,7 @@ def apply_multiplier(
     truncation-tail heuristic.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    indices = [(h, m) for h in range(h_max + 1) for m in range(h // 2 + 1)]
+    indices = [(idx.h, idx.m) for idx in index_range(measure.n, h_max)]
     cutoff = np.array([psi(float(h), float(m), epsilon) for h, m in indices])
     live = np.flatnonzero(cutoff)
     proj = _projection_matrix(measure, [bank[indices[i]] for i in live], xs)

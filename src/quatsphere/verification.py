@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quat_core
-from .diffops import FDConfig, eigencheck, l1_l2_identity
+from .diffops import eigencheck, l1_l2_identity
 from .quat_core import Array, SpherePoint, pair_invariants_matrix, seeded_rng, sphere_sample_chunks, sphere_samples
 from .spectral import cone_gap_check, psi
 from .zonal_kernel import UnusableKernelError, _kernel_row, index_range
@@ -26,6 +26,8 @@ EIGEN_ABS_TOL = 1e-3
 # the exact identities are checked for every 2m <= h <= _L1_L2_H_MAX and 2 <= n <= _L1_L2_N_MAX
 _L1_L2_H_MAX = 100
 _L1_L2_N_MAX = 5
+# kernel pairs drawn by each Monte Carlo product check
+_PAIRS = 10
 
 
 @dataclass(frozen=True)
@@ -119,13 +121,12 @@ def check_cone_gap(epsilon: float) -> CheckResult:
 def check_eigenvalues(
     bank, n: int, h_max: int, fd_step: float, seed: int
 ) -> CheckResult:
-    cfg = FDConfig(step=fd_step, richardson=True)
     x0 = SpherePoint(sphere_samples(n, 1, [seed, 61])[0])
     worst = ("", 0.0)
     unusable = []
     for idx in index_range(n, h_max):
         try:
-            rep = eigencheck(bank[(idx.h, idx.m)], x0, probes=8, cfg=cfg, seed=seed)
+            rep = eigencheck(bank[(idx.h, idx.m)], x0, probes=8, step=fd_step, seed=seed)
         except UnusableKernelError:
             unusable.append(f"({idx.h},{idx.m})")
             continue
@@ -220,13 +221,13 @@ def _product_integrals(trials, n: int, n_samples: int, seed: int, tag: int) -> l
     return results
 
 
-def check_orthogonality(bank, n: int, h_max: int, n_samples: int, seed: int, pairs: int = 10) -> CheckResult:
+def check_orthogonality(bank, n: int, h_max: int, n_samples: int, seed: int) -> CheckResult:
     rng = seeded_rng(seed, _TAG_PAIRS)
     indices = index_range(n, min(h_max, 5))
     if len(indices) < 2:
         raise ValueError(f"orthogonality needs two distinct indices, but h_max {h_max} gives only (0,0)")
     trials = []
-    for _ in range(pairs):
+    for _ in range(_PAIRS):
         i1, i2 = rng.choice(len(indices), size=2, replace=False)
         trials.append((bank[(indices[i1].h, indices[i1].m)], bank[(indices[i2].h, indices[i2].m)]))
     failures = []
@@ -241,15 +242,15 @@ def check_orthogonality(bank, n: int, h_max: int, n_samples: int, seed: int, pai
     return CheckResult(
         name="orthogonality",
         passed=not failures,
-        detail="; ".join(failures) if failures else f"{pairs} distinct-index products vanish within 4 stderr",
+        detail="; ".join(failures) if failures else f"{_PAIRS} distinct-index products vanish within 4 stderr",
     )
 
 
-def check_idempotency(bank, n: int, h_max: int, n_samples: int, seed: int, pairs: int = 10) -> CheckResult:
+def check_idempotency(bank, n: int, h_max: int, n_samples: int, seed: int) -> CheckResult:
     rng = seeded_rng(seed, _TAG_PAIRS + 1)
     indices = index_range(n, min(h_max, 5))
     trials = []
-    for _ in range(pairs):
+    for _ in range(_PAIRS):
         idx = indices[int(rng.integers(len(indices)))]
         trials.append((bank[(idx.h, idx.m)],) * 2)
     failures = []
@@ -268,7 +269,7 @@ def check_idempotency(bank, n: int, h_max: int, n_samples: int, seed: int, pairs
     return CheckResult(
         name="idempotency",
         passed=not failures,
-        detail="; ".join(failures) if failures else f"{pairs} equal-index products reproduce K within 4 stderr",
+        detail="; ".join(failures) if failures else f"{_PAIRS} equal-index products reproduce K within 4 stderr",
     )
 
 

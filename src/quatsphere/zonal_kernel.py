@@ -19,7 +19,8 @@ with dim(h, m) in integers from the Weyl dimension formula
     integral K(x, y) K(y, z) dsigma(y) = K(x, z),
 
 which the verification module checks by Monte Carlo.  The raw formula is
-one ladder walk, _kernel_row; raw_kernel_values checks its domain first.
+written once, as the ladder walk _kernel_rungs, which every kernel value
+(raw_kernel_values, the product pass, spectral's kernel sums) goes through.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ortho_poly import _require_invariants, _require_unit_interval, _rung, cheb_ladder, jacobi_ladder
+from .ortho_poly import _require_invariants, _require_unit_interval, cheb_ladder, jacobi_ladder
 from .quat_core import Array, SpherePoint, pair_invariants
 
 _SPREAD_LIMIT = 0.05
@@ -109,29 +110,43 @@ class KernelIndex:
         return scale * self.prefactor * math.comb(self.h - self.m + 2 * self.n - 2, 2 * self.n - 3)
 
 
-def _kernel_row(idx: KernelIndex, a: Array, s: Array, scale: float, bufs) -> Array:
-    """scale * raw kernel from invariants taken as they are: W_k(a, s), then P_m(2s - 1) clipped to [-1, 1].
+def _kernel_rungs(n: int, a: Array, s: Array, wanted, bufs):
+    """Yield (k, m, W_k(a, s), P_m^{(2n-3, k+1)}(2s - 1)) for each m in wanted[k], by ascending k, then m.
 
-    bufs are seven float64 arrays of a's shape, all overwritten: the
-    Chebyshev ladder's three rungs, 2s - 1 and the Jacobi ladder's three
-    rungs.  The value is written into one of the Chebyshev rungs, so it is
-    valid only until bufs are reused.
+    The Chebyshev ladder is walked once, and one Jacobi ladder per needed k
+    on 2s - 1 clipped to [-1, 1].  bufs are seven float64 arrays of a's
+    shape, all overwritten: three Chebyshev rungs, 2s - 1 and three Jacobi
+    rungs.  A yielded pair of rungs is valid only until the walk advances.
     """
-    w = _rung(cheb_ladder(a, s, out=bufs[:3]), idx.k)
     x = np.subtract(np.multiply(s, 2.0, out=bufs[3]), 1.0, out=bufs[3])
-    p = _rung(jacobi_ladder(2 * idx.n - 3, idx.k + 1, np.clip(x, -1.0, 1.0, out=x), out=bufs[4:]), idx.m)
+    np.clip(x, -1.0, 1.0, out=x)
+    for k, w in zip(range(max(wanted) + 1), cheb_ladder(a, s, out=bufs[:3])):
+        if k in wanted:
+            degrees = wanted[k]
+            for m, p in zip(range(max(degrees) + 1), jacobi_ladder(2 * n - 3, k + 1, x, out=bufs[4:])):
+                if m in degrees:
+                    yield k, m, w, p
+
+
+def _kernel_row(idx: KernelIndex, a: Array, s: Array, scale: float, bufs) -> Array:
+    """scale * raw kernel from invariants taken as they are, by _kernel_rungs.
+
+    bufs are _kernel_rungs' seven buffers; the value is written into one of
+    the Chebyshev rungs, so it is valid only until bufs are reused.
+    """
+    _, _, w, p = next(_kernel_rungs(idx.n, a, s, {idx.k: (idx.m,)}, bufs))
     return np.multiply(np.multiply(w, idx.coefficient(scale), out=w), p, out=w)
 
 
-def raw_kernel_values(idx: KernelIndex, a, s, scale: float = 1.0):
-    """scale * raw kernel, from the invariants a = Re<x,y> and s = |<x,y>|^2, as a fresh array.
+def raw_kernel_values(idx: KernelIndex, a, s):
+    """The raw kernel, from the invariants a = Re<x,y> and s = |<x,y>|^2, as a fresh array.
 
     Invariants of no quaternion, or with 2s - 1 outside [-1, 1], beyond 1e-12 are rejected.
     """
     a, s = np.broadcast_arrays(np.asarray(a, dtype=np.float64), np.asarray(s, dtype=np.float64))
     _require_invariants(a, s)
     _require_unit_interval(2.0 * s - 1.0)
-    return _kernel_row(idx, a, s, scale, [np.empty(a.shape) for _ in range(7)])
+    return _kernel_row(idx, a, s, 1.0, [np.empty(a.shape) for _ in range(7)])
 
 
 @dataclass(frozen=True)

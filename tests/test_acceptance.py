@@ -7,7 +7,6 @@ Run with `pytest tests/test_acceptance.py -v -s`.
 import time
 
 from quatsphere import (
-    FDConfig,
     apply_multiplier,
     calibrate_bank,
     cone_gap_check,
@@ -42,11 +41,10 @@ def report(num: int, desc: str, ok: bool, detail: str = ""):
 
 def test_criterion_1_eigenvalue_reproduction(bank8, x0):
     t0 = time.monotonic()
-    cfg = FDConfig(step=1e-2, richardson=True)
     worst = 0.0
     pair_3_1 = None
     for idx in index_range(2, 6):
-        rep = eigencheck(bank8[(idx.h, idx.m)], x0, probes=8, cfg=cfg, seed=99)
+        rep = eigencheck(bank8[(idx.h, idx.m)], x0, probes=8, step=1e-2, seed=99)
         for err, true in ((rep.rel_err_delta, rep.lambda_delta_true), (rep.rel_err_gamma, rep.lambda_gamma_true)):
             # rel_err reduces to an absolute error at zero eigenvalues
             worst = max(worst, err)

@@ -317,6 +317,18 @@ class TestCommands:
         assert rc == 1
         assert "error: no probe with |f| above 0.1*max for KernelIndex(h=0, m=0, n=2)" in capsys.readouterr().err
 
+    def test_out_of_memory_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # the fixture generator raises as np.empty does for --atoms 1000000000000, so nothing is allocated
+        message = "Unable to allocate 29.8 TiB for an array with shape (1000000000000, 8) and data type float64"
+
+        def too_large(n, count, seed):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "gen_uniform", too_large)
+        rc = main(["spectrum", "uniform", "--n", "2", "--atoms", "1000000000000", "--out", str(tmp_path / "s")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: not enough memory: {message}\n"
+
     def test_bad_subsphere_k_is_usage_error(self, tmp_path):
         rc = main(["dimension", "subsphere:7", "--n", "2", "--atoms", "500",
                    "--out", str(tmp_path / "d")])

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from quatsphere import (
-    FDConfig,
     SpherePoint,
     calibrate_bank,
     eigencheck,
@@ -31,101 +30,88 @@ def per_point_frame(v):
     return np.concatenate([axis_vecs, q[:, 4:dim].T])
 
 
-def per_probe_extrapolate(estimates, cfg):
-    return (4.0 * estimates[-1] - estimates[0]) / 3.0 if cfg.richardson else estimates[0]
+def per_probe_extrapolate(estimates):
+    return (4.0 * estimates[-1] - estimates[0]) / 3.0
 
 
-def per_probe_steps(cfg):
-    return [cfg.step, cfg.step / 2.0] if cfg.richardson else [cfg.step]
-
-
-def per_probe_gamma(f, v, cfg):
+def per_probe_gamma(f, v, step):
     total = 0.0
     for axis in "ijk":
         estimates = []
-        for tau in per_probe_steps(cfg):
+        for tau in (step, step / 2.0):
             vals = f(np.stack([flow_points(v, axis, tau), v, flow_points(v, axis, -tau)]))
             estimates.append((float(vals[0]) - 2.0 * float(vals[1]) + float(vals[2])) / (tau * tau))
-        total += per_probe_extrapolate(estimates, cfg)
+        total += per_probe_extrapolate(estimates)
     return -total
 
 
-def per_probe_laplace_beltrami(f, v, cfg):
+def per_probe_laplace_beltrami(f, v, step):
     f0 = float(f(v[None, :])[0])
     total = 0.0
     for e in per_point_frame(v):
         estimates = []
-        for tau in per_probe_steps(cfg):
+        for tau in (step, step / 2.0):
             fwd, bwd = f(np.stack([np.cos(t) * v + np.sin(t) * e for t in (tau, -tau)]))
             estimates.append((float(fwd) - 2.0 * f0 + float(bwd)) / (tau * tau))
-        total += per_probe_extrapolate(estimates, cfg)
+        total += per_probe_extrapolate(estimates)
     return -total
 
 
-def per_probe_eigencheck(ck, x0, probes, cfg, seed):
+def per_probe_eigencheck(ck, x0, probes, step, seed):
     """(lambda_delta, lambda_gamma) medians over the probes, one probe at a time."""
     idx = ck.index
     f = ck.section(x0)
     pool = sphere_samples(idx.n, 128, [seed, idx.h, idx.m, 21])
     fvals = f(pool)
     chosen = np.flatnonzero(np.abs(fvals) > 0.1 * float(np.max(np.abs(fvals))))[:probes]
-    delta = [per_probe_laplace_beltrami(f, SpherePoint(pool[i]).vec, cfg) / float(fvals[i]) for i in chosen]
-    gamma = [per_probe_gamma(f, SpherePoint(pool[i]).vec, cfg) / float(fvals[i]) for i in chosen]
+    delta = [per_probe_laplace_beltrami(f, SpherePoint(pool[i]).vec, step) / float(fvals[i]) for i in chosen]
+    gamma = [per_probe_gamma(f, SpherePoint(pool[i]).vec, step) / float(fvals[i]) for i in chosen]
     return float(np.median(delta)), float(np.median(gamma))
 
 
 def test_fd_config_validation():
-    with pytest.raises(ValueError):
-        FDConfig(step=0.5)
-    with pytest.raises(ValueError):
-        FDConfig(step=1e-5)
+    # the finite-difference step must lie in [1e-4, 1e-1]
+    pts = sphere_samples(2, 1, 3)
+    for op in (gamma_apply, laplace_beltrami_apply):
+        for step in (0.5, 1e-5):
+            with pytest.raises(ValueError, match="step must lie"):
+                op(const_fn(), pts, step)
 
 
 class TestOperators:
     def test_constants_are_killed(self):
-        x = SpherePoint(sphere_samples(2, 1, 3)[0])
-        assert abs(gamma_apply(const_fn(), x)) <= 1e-9
-        assert abs(laplace_beltrami_apply(const_fn(), x)) <= 1e-9
+        x = sphere_samples(2, 1, 3)
+        assert abs(gamma_apply(const_fn(), x)[0]) <= 1e-9
+        assert abs(laplace_beltrami_apply(const_fn(), x)[0]) <= 1e-9
 
     def test_kernel_sections_are_eigenfunctions(self, bank8, x0):
-        cfg = FDConfig(step=1e-2, richardson=True)
-        probe = SpherePoint(sphere_samples(2, 64, 44)[7])
+        probe = sphere_samples(2, 64, 44)[7][None]
         for (h, m), (lam_d, lam_g) in [((3, 1), (27.0, 3.0)), ((2, 1), (16.0, 0.0)), ((4, 2), (40.0, 0.0))]:
             sec = bank8[(h, m)].section(x0)
-            fx = float(sec(probe.vec[None, :])[0])
-            est_d = laplace_beltrami_apply(sec, probe, cfg) / fx
-            est_g = gamma_apply(sec, probe, cfg) / fx
+            fx = float(sec(probe)[0])
+            est_d = laplace_beltrami_apply(sec, probe, 1e-2)[0] / fx
+            est_g = gamma_apply(sec, probe, 1e-2)[0] / fx
             assert abs(est_d - lam_d) <= 5e-3 * max(lam_d, 1.0), (h, m)
             assert abs(est_g - lam_g) <= 5e-3 * max(lam_g, 1.0), (h, m)
 
     def test_operator_linearity_on_sections(self, bank8, x0):
-        cfg = FDConfig()
         s1 = bank8[(2, 1)].section(x0)
         s2 = bank8[(3, 0)].section(x0)
         combo = lambda pts: 1.3 * s1(pts) - 0.4 * s2(pts)
-        probe = SpherePoint(sphere_samples(2, 8, 45)[0])
+        probe = sphere_samples(2, 8, 45)[:1]
         for op in (gamma_apply, laplace_beltrami_apply):
-            lhs = op(combo, probe, cfg)
-            rhs = 1.3 * op(s1, probe, cfg) - 0.4 * op(s2, probe, cfg)
+            lhs = op(combo, probe)[0]
+            rhs = 1.3 * op(s1, probe)[0] - 0.4 * op(s2, probe)[0]
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
-
-    def test_coarse_step_without_extrapolation_misses_tolerance(self, bank8, x0):
-        # the failure mode `verify` is guarding against: a coarse step with no
-        # Richardson level leaves an O(tau^2) bias above the 0.5% tolerance
-        sec = bank8[(3, 1)].section(x0)
-        probe = SpherePoint(sphere_samples(2, 64, 44)[7])
-        fx = float(sec(probe.vec[None, :])[0])
-        est = laplace_beltrami_apply(sec, probe, FDConfig(step=0.1, richardson=False)) / fx
-        assert abs(est - 27.0) / 27.0 > 5e-3
 
     def test_richardson_order_four(self, bank8, x0):
         # halving the step shrinks the Richardson eigenvalue error ~16x
         sec = bank8[(4, 1)].section(x0)
-        probe = SpherePoint(sphere_samples(2, 40, 46)[17])
-        fx = float(sec(probe.vec[None, :])[0])
+        probe = sphere_samples(2, 40, 46)[17][None]
+        fx = float(sec(probe)[0])
         errs = []
         for tau in (4e-2, 2e-2):
-            lam = laplace_beltrami_apply(sec, probe, FDConfig(step=tau, richardson=True)) / fx
+            lam = laplace_beltrami_apply(sec, probe, tau)[0] / fx
             errs.append(abs(lam - 40.0))
         ratio = errs[0] / errs[1]
         assert 8.0 <= ratio <= 32.0
@@ -138,7 +124,7 @@ class TestEigencheck:
         assert abs(rep.lambda_gamma_est) <= 1e-3
 
     def test_3_1_within_half_percent(self, bank8, x0):
-        rep = eigencheck(bank8[(3, 1)], x0, probes=8, cfg=FDConfig(1e-2, True), seed=5)
+        rep = eigencheck(bank8[(3, 1)], x0, probes=8, step=1e-2, seed=5)
         assert rep.lambda_delta_true == 27.0 and rep.lambda_gamma_true == 3.0
         assert rep.rel_err_delta <= 5e-3
         assert rep.rel_err_gamma <= 5e-3
@@ -147,11 +133,6 @@ class TestEigencheck:
         rep = eigencheck(bank8[(4, 2)], x0, probes=8, seed=5)
         assert abs(rep.lambda_delta_est - 40.0) <= 0.2
         assert abs(rep.lambda_gamma_est) <= 1e-3
-
-    def test_json_shape(self, bank8, x0):
-        rep = eigencheck(bank8[(2, 1)], x0, probes=4, seed=5)
-        d = rep.to_json_dict()
-        assert set(d) == {"index", "lambda_delta_est", "lambda_gamma_est", "rel_err_delta", "rel_err_gamma"}
 
     def test_degenerate_probes(self, bank8, x0):
         ck = bank8[(5, 1)]
@@ -174,15 +155,13 @@ def bank_n3():
 
 
 class TestBatchedStencils:
-    @pytest.mark.parametrize("richardson", [True, False])
     @pytest.mark.parametrize("n", [2, 3])
-    def test_matches_per_probe_oracle(self, bank8, bank_n3, n, richardson):
+    def test_matches_per_probe_oracle(self, bank8, bank_n3, n):
         bank = bank8 if n == 2 else bank_n3
         x0 = SpherePoint(sphere_samples(n, 1, [3, 61])[0])
-        cfg = FDConfig(step=1e-2, richardson=richardson)
         for idx in index_range(n, 6):
-            rep = eigencheck(bank[(idx.h, idx.m)], x0, probes=8, cfg=cfg, seed=3)
-            lam_d, lam_g = per_probe_eigencheck(bank[(idx.h, idx.m)], x0, 8, cfg, 3)
+            rep = eigencheck(bank[(idx.h, idx.m)], x0, probes=8, step=1e-2, seed=3)
+            lam_d, lam_g = per_probe_eigencheck(bank[(idx.h, idx.m)], x0, 8, 1e-2, 3)
             # relative, against 1 at the zero eigenvalues
             assert abs(rep.lambda_delta_est - lam_d) <= 1e-9 * max(abs(lam_d), 1.0), idx
             assert abs(rep.lambda_gamma_est - lam_g) <= 1e-9 * max(abs(lam_g), 1.0), idx
@@ -209,21 +188,15 @@ class TestBatchedStencils:
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("op", [gamma_apply, laplace_beltrami_apply])
     def test_array_and_point_forms_agree(self, n, op):
-        # f is evaluated entry by entry, so only the stencil arithmetic can differ
+        # a batch of points against each point as a one-row array; f is
+        # evaluated entry by entry, so only the stencil arithmetic can differ
         f = lambda pts: pts[..., 0] ** 3 * pts[..., 5] - 2.0 * pts[..., 3] * pts[..., 6] ** 2 + pts[..., 1]
-        points = [SpherePoint(p) for p in sphere_samples(n, 6, [4, 63])]
-        for cfg in (FDConfig(), FDConfig(step=3e-2, richardson=False)):
-            batched = op(f, np.stack([p.vec for p in points]), cfg)
-            single = [op(f, p, cfg) for p in points]
-            assert batched.shape == (6,) and all(isinstance(v, float) for v in single)
+        points = sphere_samples(n, 6, [4, 63])
+        for step in (1e-2, 3e-2):
+            batched = op(f, points, step)
+            single = np.array([op(f, p[None], step)[0] for p in points])
+            assert batched.shape == (6,)
             assert np.max(np.abs(batched - single)) <= 1e-12 * max(1.0, np.max(np.abs(single)))
-
-    @pytest.mark.parametrize("op", [gamma_apply, laplace_beltrami_apply])
-    def test_point_form_is_the_one_row_case(self, bank8, op):
-        f = bank8[(5, 1)].section(SpherePoint(sphere_samples(2, 1, [4, 62])[0]))
-        for p in sphere_samples(2, 4, [4, 64]):
-            point = SpherePoint(p)
-            assert op(f, point) == op(f, point.vec[None, :])[0]
 
 
 class TestL1L2:

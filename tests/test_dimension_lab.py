@@ -100,16 +100,6 @@ class TestCorrelationDimension:
         with pytest.raises(ValueError):
             correlation_dimension(mu)
 
-    def test_explicit_grid(self):
-        mu = gen_subsphere(2, 1, 5_000, seed=9)
-        est = correlation_dimension(mu, r_grid=np.geomspace(0.15, 0.5, 10), seed=3)
-        assert abs(est.s_hat - 3.0) <= 0.5
-        assert len(est.r_values) == 10
-        # a negative radius would put the edges out of order
-        for bad in ([0.15, 0.5], [-0.1, 0.15, 0.5]):
-            with pytest.raises(ValueError):
-                correlation_dimension(mu, r_grid=bad, seed=3)
-
     def test_benchmark_fixtures_are_pinned(self):
         # the criterion 7 fixtures at 10 000 atoms, seed 1, as a walk of every reference row
         # against every atom computes them

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from quatsphere import (
-    FDConfig,
     KernelIndex,
     SpherePoint,
     calibrate,
@@ -42,7 +41,6 @@ def test_s11_dimensions(bank_n3):
 
 
 def test_s11_frame_shape():
-    y = SpherePoint(sphere_samples(3, 1, [2])[0])
-    frame = tangent_frame(y)
+    frame = tangent_frame(sphere_samples(3, 1, [2]))[0]
     assert frame.shape == (11, 12)
     assert np.max(np.abs(frame @ frame.T - np.eye(11))) <= 1e-10

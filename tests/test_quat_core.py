@@ -141,7 +141,7 @@ def _gram_schmidt(rows):
 @pytest.mark.parametrize("n", [2, 3])
 def test_tangent_frame(n):
     y = SpherePoint(sphere_samples(n, 1, [17, n])[0])
-    frame = tangent_frame(y)
+    frame = tangent_frame(y.vec[None])[0]
     assert frame.shape == (4 * n - 1, 4 * n)
     gram = frame @ frame.T
     assert np.max(np.abs(gram - np.eye(4 * n - 1))) <= 1e-10
@@ -170,12 +170,11 @@ def test_tangent_frame_batched(n):
         # the per-point QR frame the batched one replaced
         q, _ = np.linalg.qr(np.concatenate([np.column_stack([p, *frame[:3]]), np.eye(4 * n)], axis=1))
         assert np.max(np.abs(frame[3:] - q[:, 4:].T)) <= 1e-14
-        assert np.array_equal(tangent_frame(SpherePoint(p)), tangent_frame(SpherePoint(p).vec[None, :])[0])
 
 
 def test_geodesic():
     y = SpherePoint(sphere_samples(2, 1, 23)[0])
-    e = tangent_frame(y)[4]
+    e = tangent_frame(y.vec[None])[0, 4]
     start, antipode, inside = geodesic_points(y.vec, e, [0.0, math.pi, 0.71])
     assert np.allclose(start, y.vec)
     assert np.allclose(antipode, -y.vec, atol=1e-12)

@@ -310,6 +310,20 @@ class TestMultiplier:
         apply_multiplier(mu, bank8, 0.2, 8, sphere_samples(2, 16, 22))
         assert calls == [300, 300, 300, 100]
 
+    @pytest.mark.parametrize("h_max", [0, 1])
+    def test_no_live_index_computes_nothing(self, bank8, monkeypatch, h_max):
+        # the cutoff vanishes at (0, 0) and (1, 0): the values are zeros with no pair invariants computed
+        calls = []
+
+        def counting(xs, ys, **kw):
+            calls.append(ys.shape[0])
+            return pair_invariants_matrix(xs, ys, **kw)
+
+        monkeypatch.setattr(spectral, "pair_invariants_matrix", counting)
+        out = apply_multiplier(gen_uniform(2, 5_000, seed=17), bank8, 0.1, h_max, sphere_samples(2, 16, 22))
+        assert calls == []
+        assert np.array_equal(out.values, np.zeros(16)) and out.last_shell_magnitude == 0.0
+
     def test_last_shell_reported(self, bank8, x0):
         xs = sphere_samples(2, 8, 20)
         out = apply_multiplier(gen_point_mass(x0), bank8, 0.1, 6, xs)

@@ -81,7 +81,8 @@ class TestSharedSamples:
 
         monkeypatch.setattr(verification, "sphere_samples", counting(verification.sphere_samples))
         monkeypatch.setattr(verification, "sphere_sample_chunks", counting(verification.sphere_sample_chunks))
-        result = check(bank8, 2, 8, 3000, 7, pairs=6)
+        monkeypatch.setattr(verification, "_PAIRS", 6)
+        result = check(bank8, 2, 8, 3000, 7)
         assert result.passed, result.detail
         assert sorted(counts) == [2] * 6 + [3000]
 
@@ -110,21 +111,23 @@ class TestIdempotencyDiagonals:
         idx = indices[int(verification.seeded_rng(seed, verification._TAG_PAIRS + 1).integers(len(indices)))]
         return (idx.h, idx.m)
 
-    def test_scaled_constant_fails_without_being_drawn(self, bank8):
+    def test_scaled_constant_fails_without_being_drawn(self, bank8, monkeypatch):
         drawn = self.drawn_index(7)
         key = (3, 1) if drawn != (3, 1) else (4, 1)
         bank = dict(bank8)
         bank[key] = dataclasses.replace(bank8[key], c=1.5 * bank8[key].c)
-        result = verification.check_idempotency(bank, 2, 8, 3000, 7, pairs=1)
+        monkeypatch.setattr(verification, "_PAIRS", 1)
+        result = verification.check_idempotency(bank, 2, 8, 3000, 7)
         assert not result.passed
         dim = bank8[key].index.dimension
         assert result.detail == f"({key[0]},{key[1]}): diagonal {1.5 * bank8[key].diagonal():.6g} vs dimension {dim}"
 
-    def test_unusable_kernel_keeps_its_entry(self, bank8):
+    def test_unusable_kernel_keeps_its_entry(self, bank8, monkeypatch):
         drawn = self.drawn_index(7)
         bank = dict(bank8)
         bank[drawn] = dataclasses.replace(bank8[drawn], spread=0.5)
-        result = verification.check_idempotency(bank, 2, 8, 3000, 7, pairs=1)
+        monkeypatch.setattr(verification, "_PAIRS", 1)
+        result = verification.check_idempotency(bank, 2, 8, 3000, 7)
         with pytest.raises(verification.UnusableKernelError) as exc:
             bank[drawn].require_usable()
         assert result.detail == str(exc.value)

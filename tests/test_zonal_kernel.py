@@ -6,13 +6,21 @@ from hypothesis import given, settings, strategies as st
 
 from quatsphere import (
     CalibratedKernel,
+    JacobiParams,
     KernelIndex,
     SpherePoint,
     UnusableKernelError,
+    apply_multiplier,
     calibrate,
+    cheb_u_scaled,
+    gen_uniform,
     index_range,
+    jacobi_eval,
     ortho_poly,
+    project_values,
     quat_core,
+    spectral,
+    spectrum_scan,
     sphere_samples,
     verification,
     zonal_kernel,
@@ -322,6 +330,49 @@ class TestBlockedSamplePath:
     def test_fewer_than_two_samples_is_an_error(self, bank8):
         with pytest.raises(ValueError, match="at least 2 samples"):
             _product_integrals([(bank8[(2, 1)], bank8[(2, 1)])], 2, 1, 5, _TAG_PRODUCT)
+
+
+class TestOneWalk:
+    def test_walk_yields_the_wanted_rungs_in_order(self):
+        # the last pair is a self-pair whose s rounded above 1: its Jacobi argument is clipped to 1
+        a = np.array([[0.3, -0.2, 1.0]])
+        s = np.array([[0.5, 0.9, 1.0 + 4.4e-16]])
+        wanted = {0: (2,), 3: (0, 1), 4: (2,)}
+        bufs = [np.empty(a.shape) for _ in range(7)]
+        got = [(k, m, w.copy(), p.copy()) for k, m, w, p in zonal_kernel._kernel_rungs(2, a, s, wanted, bufs)]
+        assert [(k, m) for k, m, _, _ in got] == [(0, 2), (3, 0), (3, 1), (4, 2)]
+        for k, m, w, p in got:
+            assert np.array_equal(w, cheb_u_scaled(k, a, s))
+            assert np.array_equal(p, jacobi_eval(JacobiParams(1, k + 1, m), np.minimum(2.0 * s - 1.0, 1.0)))
+            assert p[0, 2] == jacobi_eval(JacobiParams(1, k + 1, m), 1.0)
+
+    def test_every_kernel_path_takes_the_one_walk(self, bank8, monkeypatch):
+        # spectral starts no ladder of its own, and every kernel path starts one Chebyshev ladder per walk
+        assert not any(getattr(v, "__module__", None) == "quatsphere.ortho_poly" for v in vars(spectral).values())
+        walk, ladder, walks, chebs = zonal_kernel._kernel_rungs, zonal_kernel.cheb_ladder, [], []
+
+        def counted_walk(caller):
+            return lambda *args: walks.append(caller) or walk(*args)
+
+        for module in (zonal_kernel, spectral):
+            monkeypatch.setattr(module, "_kernel_rungs", counted_walk(module.__name__))
+        monkeypatch.setattr(zonal_kernel, "cheb_ladder", lambda *a, **kw: chebs.append(1) or ladder(*a, **kw))
+        mu, xs = gen_uniform(2, 300, seed=3), sphere_samples(2, 8, 4)
+        # each path with the module whose walk it must reach
+        paths = {
+            "scan": (spectral, lambda: spectrum_scan(mu, bank8, 4, 0.1, probes=8, seed=1)),
+            "multiplier": (spectral, lambda: apply_multiplier(mu, bank8, 0.2, 4, xs)),
+            "project_values": (spectral, lambda: project_values(mu, bank8[(3, 1)], xs)),
+            "raw_kernel_values": (zonal_kernel, lambda: raw_kernel_values(KernelIndex(3, 1, 2), 0.2, 0.5)),
+            "product pass": (zonal_kernel, lambda: _product_moments(
+                [(bank8[(3, 1)], bank8[(2, 1)])], sphere_samples(2, 2, 8), sphere_sample_chunks(2, 100, 9)
+            )),
+        }
+        for name, (module, run) in paths.items():
+            walks.clear()
+            chebs.clear()
+            run()
+            assert module.__name__ in walks and len(chebs) == len(walks), name
 
 
 class TestStableMoments:
