@@ -111,13 +111,6 @@ def load_config_file(path: str, command: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def save_measure(measure: DiscreteMeasure, path: str | Path):
-    with open(path, "w") as fh:
-        fh.write(f"# n={measure.n}\n")
-        for row, w in zip(measure.points, measure.weights):
-            fh.write(",".join(repr(float(v)) for v in row) + f",{float(w)!r}\n")
-
-
 def load_measure(path: str | Path) -> DiscreteMeasure:
     lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].strip().startswith("# n="):
@@ -309,6 +302,9 @@ COMMANDS = {
 }
 
 
+_HELP = {"mc_samples": "samples of the Monte Carlo idempotency check (orthogonality is exact)"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="quatsphere", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -319,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key=value config file")
         for option in command.options:
             flag = "--out" if option == "output_path" else "--" + option.replace("_", "-")
-            p.add_argument(flag, dest=option, type=_TYPES[option])
+            p.add_argument(flag, dest=option, type=_TYPES[option], help=_HELP.get(option))
     return parser
 
 

@@ -235,10 +235,11 @@ _ENGINE_BUFFERS = 10
 def _projection_matrix(measure: DiscreteMeasure, cks: Sequence[CalibratedKernel], xs: Array) -> Array:
     """Projection values, shape (len(cks), len(xs)), sharing pair invariants.
 
-    This is the one blocked kernel-sum path: scans, the multiplier and
-    project_values all run on it.  The points xs are taken in chunks and
-    the atoms in blocks so that a block holds at most
-    quat_core._BLOCK_ELEMENTS pairs, and the ladder arrays stay cache-sized.
+    This is the one blocked kernel-sum path: scans, the multiplier,
+    project_values and verify's exact Gram check all run on it.  The points
+    xs are taken in chunks and the atoms in blocks so that a block holds at
+    most quat_core._BLOCK_ELEMENTS pairs, and the ladder arrays stay
+    cache-sized.
     Per block the pair invariants are computed once and one walk of
     zonal_kernel._kernel_rungs yields W_k P_m for every index some kernel
     needs.  Every block array (the invariants, the walk's rungs and the

@@ -18,9 +18,11 @@ with dim(h, m) in integers from the Weyl dimension formula
 
     integral K(x, y) K(y, z) dsigma(y) = K(x, z),
 
-which the verification module checks by Monte Carlo.  The raw formula is
-written once, as the ladder walk _kernel_rungs, which every kernel value
-(raw_kernel_values, the product pass, spectral's kernel sums) goes through.
+which the verification module checks by Monte Carlo at x != z; it checks
+orthogonality and the norms (z = x) exactly, by a Gauss rule for the Gram
+matrix of every index.  The raw formula is written once, as the ladder walk
+_kernel_rungs, which every kernel value (raw_kernel_values, the product
+pass, spectral's kernel sums) goes through.
 """
 
 from __future__ import annotations

@@ -14,7 +14,6 @@ from quatsphere.cli import (
     load_measure,
     main,
     resolve_measure,
-    save_measure,
 )
 from quatsphere.diffops import DegenerateProbesError
 from quatsphere.zonal_kernel import index_range, raw_kernel_values
@@ -35,6 +34,14 @@ ALL_OPTIONS = ["--n", "--h-max", "--epsilon", "--mc-samples", "--probes", "--see
 UNREAD = [(cmd, flag) for cmd, flags in OPTIONS.items() for flag in ALL_OPTIONS if flag not in flags]
 
 
+def save_measure(measure, path):
+    """Write a measure in the file format load_measure reads: a "# n=<n>" header, then one atom per line."""
+    with open(path, "w") as fh:
+        fh.write(f"# n={measure.n}\n")
+        for row, w in zip(measure.points, measure.weights):
+            fh.write(",".join(repr(float(v)) for v in row) + f",{float(w)!r}\n")
+
+
 def command_argv(command: str) -> list[str]:
     return [command] if command == "verify" else [command, "point"]
 
@@ -48,7 +55,8 @@ def passing_verify_summary(n: int) -> dict:
             {"detail": "cutoff value/support/homogeneity/smoothness ok", "name": "psi_properties", "passed": True},
             {"detail": "converges to 1/2 inside the cutoff plateau", "name": "cone_gap_convergence", "passed": True},
             {"detail": "all eigenvalues within tolerance", "name": "eigencheck", "passed": True},
-            {"detail": "10 distinct-index products vanish within 4 stderr", "name": "orthogonality", "passed": True},
+            {"detail": "Gram matrix of the 16 kernels with h <= 6 is diag(dim) by an exact Gauss rule",
+             "name": "orthogonality", "passed": True},
             {"detail": "10 equal-index products reproduce K within 4 stderr", "name": "idempotency", "passed": True},
         ],
         "params": {"epsilon": 0.1, "fd_step": 0.01, "h_max": 6, "mc_samples": 200000, "n": n, "seed": 3},
@@ -240,6 +248,28 @@ class TestCommands:
         rc = main(["verify", *VERIFY_FAST, "--fd-step", "0.5", "--out", str(tmp_path / "v.json")])
         assert rc == 2
         assert "fd_step" in capsys.readouterr().err
+
+    def test_verify_checks_orthogonality_up_to_h_max(self, tmp_path, capsys, monkeypatch):
+        # all 36 indices with h <= 10 at n = 6, so a constant scaled at (10,5) fails
+        out = tmp_path / "v.json"
+        argv = ["verify", "--n", "6", "--h-max", "10", "--mc-samples", "2000", "--seed", "1", "--out", str(out)]
+
+        def orthogonality():
+            return next(c["detail"] for c in json.loads(out.read_text())["checks"] if c["name"] == "orthogonality")
+
+        assert main(argv) == 0
+        assert orthogonality() == "Gram matrix of the 36 kernels with h <= 10 is diag(dim) by an exact Gauss rule"
+
+        def corrupted(n, h_max):
+            bank = calibrate_bank(n, h_max)
+            bank[(10, 5)] = dataclasses.replace(bank[(10, 5)], c=1.5 * bank[(10, 5)].c)
+            return bank
+
+        monkeypatch.setattr(cli, "calibrate_bank", corrupted)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "FAILED checks: orthogonality\n"
+        [dim] = [idx.dimension for idx in index_range(6, 10) if (idx.h, idx.m) == (10, 5)]
+        assert orthogonality() == f"(10,5): norm {2.25 * dim:.6g} vs dimension {dim}"
 
     def test_verify_at_h_max_0_names_the_cause(self, tmp_path, capsys):
         # (0, 0) is the only index, so no distinct pair can be drawn

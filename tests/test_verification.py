@@ -4,9 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from quatsphere import calibrate_bank, verification
-from quatsphere.spectral import psi
-from quatsphere.verification import _first_spike
+from quatsphere import calibrate_bank, verification, zonal_kernel
+from quatsphere.spectral import DiscreteMeasure, _projection_matrix, psi
+from quatsphere.verification import _first_spike, _gauss_rule
 
 
 def first_spike_loop(mag, floor):
@@ -67,9 +67,12 @@ class TestFirstSpike:
 
 
 class TestSharedSamples:
-    @pytest.mark.parametrize("check", [verification.check_orthogonality, verification.check_idempotency])
-    def test_one_sample_draw_per_check(self, bank8, monkeypatch, check):
-        # whether drawn whole or streamed in chunks
+    @pytest.mark.parametrize("check, draws", [
+        pytest.param(verification.check_orthogonality, [], id="check_orthogonality"),
+        pytest.param(verification.check_idempotency, [2] * 6 + [3000], id="check_idempotency"),
+    ])
+    def test_one_sample_draw_per_check(self, bank8, monkeypatch, check, draws):
+        # whether drawn whole or streamed in chunks; the exact orthogonality check draws nothing
         counts = []
 
         def counting(draw):
@@ -84,7 +87,7 @@ class TestSharedSamples:
         monkeypatch.setattr(verification, "_PAIRS", 6)
         result = check(bank8, 2, 8, 3000, 7)
         assert result.passed, result.detail
-        assert sorted(counts) == [2] * 6 + [3000]
+        assert sorted(counts) == draws
 
 
     @pytest.mark.parametrize("n", [3, 5])
@@ -95,12 +98,102 @@ class TestSharedSamples:
         bank = calibrate_bank(n, 6)
         tracemalloc.start()
         try:
-            result = verification.check_orthogonality(bank, n, 6, 200_000, 1)
+            result = verification.check_idempotency(bank, n, 6, 200_000, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert result.passed, result.detail
         assert peak < 4 * 2**20, peak
+
+
+def gram_error(n, h_max, u_nodes, s_nodes):
+    """max |G - diag(dim)| / sqrt(dim_i dim_j) of the kernels with h <= h_max under a Gauss rule of the given size."""
+    indices = verification.index_range(n, h_max)
+    bank = calibrate_bank(n, h_max)
+    y, w = _gauss_rule(n, u_nodes, s_nodes)
+    rows = _projection_matrix(DiscreteMeasure(np.eye(1, 4 * n), np.ones(1)), [bank[(i.h, i.m)] for i in indices], y)
+    dims = np.array([i.dimension for i in indices], dtype=np.float64)
+    return float(np.max(np.abs((rows * w) @ rows.T - np.diag(dims)) / np.sqrt(np.outer(dims, dims))))
+
+
+class TestExactGram:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_gram_is_diagonal_to_rounding(self, n):
+        """The Gram error over h_max <= 16 stays below 1e-12 sqrt(dim_i dim_j).
+
+        Measured worst over n = 2..5 and h_max = 1..16: 3.7e-15 (at n = 2, h_max = 14).
+        """
+        for h_max in range(1, 17):
+            assert gram_error(n, h_max, h_max + 1, h_max // 2 + n) < 1e-12
+            result = verification.check_orthogonality(calibrate_bank(n, h_max), n, h_max, 1, 1)
+            count = len(verification.index_range(n, h_max))
+            assert result.detail == f"Gram matrix of the {count} kernels with h <= {h_max} is diag(dim) by an exact Gauss rule"
+            assert result.passed
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("h_max", [1, 6, 11])
+    def test_one_node_fewer_is_not_exact(self, n, h_max):
+        # the node counts are the least that integrate every product of two kernels exactly
+        assert gram_error(n, h_max, h_max, h_max // 2 + n) > 1e-3
+        assert gram_error(n, h_max, h_max + 1, h_max // 2 + n - 1) > 1e-3
+
+    def test_rule_integrates_the_sphere_moments(self):
+        # E[s^j] = prod_{i<j} (2 + i) / (2n + i) and E[a^2 s^j] = E[s^(j+1)] / 4 at n = 3,
+        # with j + 1 <= 7, the highest power of s that six nodes integrate against the Beta(2, 4) density
+        y, w = _gauss_rule(3, 4, 6)
+        a, s = y[:, 0], y[:, 0] ** 2 + y[:, 1] ** 2
+        assert np.allclose(np.linalg.norm(y, axis=1), 1.0, rtol=0, atol=1e-15)
+        moment = 1.0
+        for j in range(7):
+            assert abs(w @ s**j - moment) < 1e-15
+            assert abs(w @ (a * a * s**j) - moment * (2 + j) / (6 + j) / 4) < 1e-15
+            moment *= (2 + j) / (6 + j)
+
+    @pytest.mark.parametrize("nodes", [1, 2, 5, 13, 20])
+    def test_legendre_nodes_match_numpy(self, nodes):
+        # one u node (u = 0, weight 1) leaves the s rule alone: Gauss-Legendre on [0, 1] times 6 s (1 - s) at n = 2
+        y, w = _gauss_rule(2, 1, nodes)
+        s = 1.0 - y[:, 4] ** 2
+        x, wx = np.polynomial.legendre.leggauss(nodes)
+        order = np.argsort(s)
+        assert np.allclose(s[order], (x + 1.0) / 2.0, rtol=0, atol=1e-15)
+        assert np.allclose(w[order], wx / 2.0 * 6.0 * (1.0 + x) / 2.0 * (1.0 - x) / 2.0, rtol=1e-13, atol=0)
+
+    def test_beta_k_jacobi_kernel_fails(self, monkeypatch):
+        # Jacobi beta = k in place of k + 1; calibrate still rescales each kernel to its exact diagonal,
+        # so a diagonal check (criterion 3) cannot see the defect
+        ladder = zonal_kernel.jacobi_ladder
+        monkeypatch.setattr(zonal_kernel, "jacobi_ladder",
+                            lambda alpha, beta, x, out=None: ladder(alpha, beta - 1, x, out=out))
+        bank = calibrate_bank(2, 6)
+        assert all(abs(ck.diagonal() - ck.index.dimension) < 1e-12 * ck.index.dimension for ck in bank.values())
+        result = verification.check_orthogonality(bank, 2, 6, 200_000, 1)
+        assert not result.passed
+        entries = result.detail.split("; ")
+        off_diagonal = [e for e in entries if ")x(" in e]
+        norms = {e.split(":")[0]: float(e.split()[2]) / int(e.split()[-1]) for e in entries if ": norm " in e}
+        assert len(off_diagonal) == 9
+        assert len(norms) + len(off_diagonal) == len(entries)
+        assert min(norms.values()) == pytest.approx(0.692, abs=1e-3)  # a 31% miss, at (6,3)
+        assert "4se" not in result.detail
+
+    def test_scaled_constant_fails_above_h_5(self, bank8):
+        # the Monte Carlo check this replaced drew indices with h <= 5 only
+        bank = dict(bank8)
+        bank[(7, 2)] = dataclasses.replace(bank8[(7, 2)], c=1.5 * bank8[(7, 2)].c)
+        result = verification.check_orthogonality(bank, 2, 8, 200_000, 1)
+        dim = bank8[(7, 2)].index.dimension
+        assert not result.passed
+        assert result.detail == f"(7,2): norm {2.25 * dim:.6g} vs dimension {dim}"  # a 125% miss
+
+    def test_unusable_kernel_keeps_its_entry(self, bank8):
+        bank = dict(bank8)
+        bank[(3, 1)] = dataclasses.replace(bank8[(3, 1)], spread=0.5)
+        result = verification.check_orthogonality(bank, 2, 8, 200_000, 1)
+        with pytest.raises(verification.UnusableKernelError) as exc:
+            bank[(3, 1)].require_usable()
+        assert not result.passed
+        assert result.detail == str(exc.value)
 
 
 class TestIdempotencyDiagonals:
