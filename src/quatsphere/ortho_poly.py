@@ -114,7 +114,7 @@ def _require_invariants(a: Array, s: Array):
 def _require_unit_interval(x: Array):
     """Reject x outside [-1, 1] by more than 1e-12 (floating-point inner products)."""
     if (x < -1.0 - _DOMAIN_TOL).any() or (x > 1.0 + _DOMAIN_TOL).any():
-        raise ValueError("jacobi_eval argument outside [-1, 1] beyond tolerance")
+        raise ValueError("Jacobi polynomial argument outside [-1, 1] beyond tolerance")
 
 
 def jacobi_eval(params: JacobiParams, x):

@@ -257,7 +257,7 @@ def _projection_matrix(measure: DiscreteMeasure, cks: Sequence[CalibratedKernel]
     by_k: dict[int, dict[int, list[tuple[int, float]]]] = {}
     for row, ck in enumerate(cks):
         idx = ck.index
-        by_k.setdefault(idx.k, {}).setdefault(idx.m, []).append((row, idx.coefficient(ck.c)))
+        by_k.setdefault(idx.k, {}).setdefault(idx.m, []).append((row, ck.c))
 
     chunk = max(1, min(xs.shape[0], quat_core._BLOCK_ELEMENTS))
     block = max(1, quat_core._BLOCK_ELEMENTS // chunk)

@@ -20,7 +20,7 @@ from .diffops import eigencheck, l1_l2_identity
 from .ortho_poly import jacobi_ladder
 from .quat_core import Array, SpherePoint, pair_invariants_matrix, seeded_rng, sphere_sample_chunks, sphere_samples
 from .spectral import DiscreteMeasure, _projection_matrix, cone_gap_check, psi
-from .zonal_kernel import UnusableKernelError, _kernel_row, index_range
+from .zonal_kernel import _kernel_row, index_range
 
 _TAG_PAIRS = 51
 _TAG_PRODUCT = 52
@@ -127,13 +127,8 @@ def check_eigenvalues(
 ) -> CheckResult:
     x0 = SpherePoint(sphere_samples(n, 1, [seed, 61])[0])
     worst = ("", 0.0)
-    unusable = []
     for idx in index_range(n, h_max):
-        try:
-            rep = eigencheck(bank[(idx.h, idx.m)], x0, probes=8, step=fd_step, seed=seed)
-        except UnusableKernelError:
-            unusable.append(f"({idx.h},{idx.m})")
-            continue
+        rep = eigencheck(bank[(idx.h, idx.m)], x0, probes=8, step=fd_step, seed=seed)
         for err, true in (
             (rep.rel_err_delta, rep.lambda_delta_true),
             (rep.rel_err_gamma, rep.lambda_gamma_true),
@@ -141,13 +136,8 @@ def check_eigenvalues(
             tol = EIGEN_REL_TOL if true != 0.0 else EIGEN_ABS_TOL
             if err > tol and err > worst[1]:
                 worst = (f"({idx.h},{idx.m})", err)
-    passed = worst[0] == "" and not unusable
-    if passed:
-        detail = "all eigenvalues within tolerance"
-    elif unusable:
-        detail = "uncalibratable kernels: " + ", ".join(unusable)
-    else:
-        detail = f"worst offender {worst[0]} with error {worst[1]:.3e}"
+    passed = worst[0] == ""
+    detail = "all eigenvalues within tolerance" if passed else f"worst offender {worst[0]} with error {worst[1]:.3e}"
     return CheckResult(name="eigencheck", passed=passed, detail=detail)
 
 
@@ -176,8 +166,11 @@ def _product_moments(kernels, ends: Array, pieces) -> tuple[Array, Array]:
     endpoint; then each trial's two kernel rows walk the ladders.  All of it
     runs in one buffer stack: a, s, and a scratch region that holds
     pair_invariants_matrix's third buffer, then zonal_kernel._kernel_row's
-    seven buffers and the trial products.
+    seven buffers and the trial products.  An unusable kernel fails with its
+    message before anything is computed.
     """
+    for ck in itertools.chain.from_iterable(kernels):
+        ck.require_usable()
     e, t = len(ends), len(kernels)
     stack = quat_core._aligned_empty((2 * e + max(e, 7 + t), quat_core._SAMPLE_PIECE))
     moments = (0, np.zeros(t), np.zeros(t))
@@ -200,29 +193,16 @@ def _product_integrals(trials, n: int, n_samples: int, seed: int, tag: int) -> l
     """Per trial (K1, K2): (est, stderr, K1(x, z)) for the integral of K1(x, y) K2(y, z) dsigma(y).
 
     Every trial draws its own x and z; the samples y are one stream, keyed
-    [seed, tag], shared by all trials and walked once.  A trial with an
-    unusable kernel gets its error message instead, and the others are
-    still evaluated.
+    [seed, tag], shared by all trials and walked once.  An unusable kernel
+    fails with its message.
     """
-    results, usable, ends = [], [], []
+    targets, ends = [], []
     for trial, (ck1, ck2) in enumerate(trials):
-        try:
-            ck1.require_usable()
-            ck2.require_usable()
-        except UnusableKernelError as exc:
-            results.append(str(exc))
-            continue
         x, z = sphere_samples(n, 2, [seed + trial, tag + 1, ck1.index.h, ck2.index.h, ck1.index.m, ck2.index.m])
-        results.append(float(ck1.values(x, z[None, :])[0]))
-        usable.append(trial)
+        targets.append(float(ck1.values(x, z[None, :])[0]))
         ends += [x, z]
-    if usable:
-        est, stderr = _product_moments(
-            [trials[t] for t in usable], np.stack(ends), sphere_sample_chunks(n, n_samples, [seed, tag])
-        )
-        for i, t in enumerate(usable):
-            results[t] = (float(est[i]), float(stderr[i]), results[t])
-    return results
+    est, stderr = _product_moments(trials, np.stack(ends), sphere_sample_chunks(n, n_samples, [seed, tag]))
+    return [(float(e), float(se), target) for e, se, target in zip(est, stderr, targets)]
 
 
 def _gauss_rule(n: int, u_nodes: int, s_nodes: int) -> tuple[Array, Array]:
@@ -266,25 +246,19 @@ def check_orthogonality(bank, n: int, h_max: int, n_samples: int, seed: int) -> 
     h_max + 1 nodes in u and h_max // 2 + n in s integrates it exactly up to
     rounding.  The kernel rows are one call of spectral's kernel-sum engine
     on the point mass at e_1.  An entry fails when it misses by more than
-    1e-12 sqrt(dim_i dim_j); an unusable kernel fails with its message and
-    stays out of G.  Nothing is sampled: n_samples and seed are unused.
+    1e-12 sqrt(dim_i dim_j).  An unusable kernel fails with its message.
+    Nothing is sampled: n_samples and seed are unused.
     """
     indices = index_range(n, h_max)
     if len(indices) < 2:
         raise ValueError(f"orthogonality needs two distinct indices, but h_max {h_max} gives only (0,0)")
-    failures, cks = [], []
-    for ck in (bank[(idx.h, idx.m)] for idx in indices):
-        try:
-            ck.require_usable()
-        except UnusableKernelError as exc:
-            failures.append(str(exc))
-        else:
-            cks.append(ck)
+    cks = [bank[(idx.h, idx.m)] for idx in indices]
     y, w = _gauss_rule(n, h_max + 1, h_max // 2 + n)
     rows = _projection_matrix(DiscreteMeasure(np.eye(1, 4 * n), np.ones(1)), cks, y)
     gram = (rows * w) @ rows.T
     dims = np.array([ck.index.dimension for ck in cks], dtype=np.float64)
     miss = np.abs(gram - np.diag(dims)) > 1e-12 * np.sqrt(np.outer(dims, dims))
+    failures = []
     for i, j in np.argwhere(np.triu(miss)):
         hm1, hm2 = (f"({ck.index.h},{ck.index.m})" for ck in (cks[i], cks[j]))
         if i == j:
@@ -308,17 +282,14 @@ def check_idempotency(bank, n: int, h_max: int, n_samples: int, seed: int) -> Ch
         idx = indices[int(rng.integers(len(indices)))]
         trials.append((bank[(idx.h, idx.m)],) * 2)
     failures = []
-    for (ck, _), result in zip(trials, _product_integrals(trials, n, n_samples, seed, _TAG_PRODUCT + 7)):
-        if isinstance(result, str):
-            failures.append(result)
-            continue
-        est, stderr, target = result
+    results = _product_integrals(trials, n, n_samples, seed, _TAG_PRODUCT + 7)
+    for (ck, _), (est, stderr, target) in zip(trials, results):
         if abs(est - target) > 4.0 * stderr + 1e-9 * max(abs(target), 1.0):
             failures.append(f"({ck.index.h},{ck.index.m}): |{est:.4e} - {target:.4e}| vs 4se {4*stderr:.3e}")
     for idx in indices:
         ck = bank[(idx.h, idx.m)]
-        # a usable kernel's diagonal is its exact dimension, whether or not a product drew it
-        if ck.usable and abs(ck.diagonal() - idx.dimension) > 1e-12 * idx.dimension:
+        # a kernel's diagonal is its exact dimension, whether or not a product drew it
+        if abs(ck.diagonal() - idx.dimension) > 1e-12 * idx.dimension:
             failures.append(f"({idx.h},{idx.m}): diagonal {ck.diagonal():.6g} vs dimension {idx.dimension}")
     return CheckResult(
         name="idempotency",

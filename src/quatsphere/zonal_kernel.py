@@ -1,28 +1,27 @@
 """Zonal projection kernels on S^{4n-1} and their exact constants.
 
-The raw kernel for an index (h, m) with 2m <= h is
+The projection kernel of the (h, m) eigenspace, 2m <= h, is
 
-    raw(x, y) = pref * C(h-m+2n-2, 2n-3) * W_{h-2m}(a, s) * P_m^{(2n-3, h-2m+1)}(2s - 1)
+    K(x, y) = c * W_k(a, s) * P_m^{(2n-3, k+1)}(2s - 1),    k = h - 2m,
 
-with a = Re<x, y>, s = |<x, y>|^2 and pref = (h-2m+1)(h+2m-1) / ((2n-2)(2n-1)).
-The raw formula fixes the projection kernel only up to a constant (its sign
-is even negative at (0, 0), and the displayed factor degenerates to 0 at
-(1, 0) although the eigenspace there is nonzero).  The projection kernel K of
-an eigenspace reproduces it under the normalized surface measure, so its
-diagonal is the eigenspace dimension, and calibrate() sets
+with a = Re<x, y>, s = |<x, y>|^2 and W_k(a, s) = |q|^k U_k(a/|q|).  K
+reproduces the eigenspace under the normalized surface measure, so its
+diagonal is the eigenspace dimension dim(h, m) (KernelIndex.dimension, in
+integers from the Weyl dimension formula).  Since W_k(1, 1) = k + 1 and
+P_m^{(alpha, beta)}(1) = C(m + alpha, m) (Szego 1939, eq. 4.1.1), the
+constant is the exact rational
 
-    c = dim(h, m) / raw(1, 1),
+    c = dim(h, m) / ((k + 1) C(m + 2n - 3, m)),
 
-with dim(h, m) in integers from the Weyl dimension formula
-(KernelIndex.dimension).  K = c * raw is then idempotent,
+which calibrate() rounds once.  K is then idempotent,
 
     integral K(x, y) K(y, z) dsigma(y) = K(x, z),
 
 which the verification module checks by Monte Carlo at x != z; it checks
 orthogonality and the norms (z = x) exactly, by a Gauss rule for the Gram
-matrix of every index.  The raw formula is written once, as the ladder walk
-_kernel_rungs, which every kernel value (raw_kernel_values, the product
-pass, spectral's kernel sums) goes through.
+matrix of every index.  The kernel without its constant is written once, as
+the ladder walk _kernel_rungs, which every kernel value (raw_kernel_values,
+the product pass, spectral's kernel sums) goes through.
 """
 
 from __future__ import annotations
@@ -96,21 +95,6 @@ class KernelIndex:
             raise ArithmeticError(f"Weyl formula gave a non-integer dimension for {self}")
         return (self.k + 1) * sp_dim
 
-    @property
-    def prefactor(self) -> float:
-        pref = (self.k + 1) * (self.h + 2 * self.m - 1) / ((2 * self.n - 2) * (2 * self.n - 1))
-        # the constant factor vanishes at (1, 0) although the eigenspace does
-        # not; fall back to 1 so that c = dim / raw(1, 1) still fixes the scale
-        return pref if pref != 0.0 else 1.0
-
-    def coefficient(self, scale: float = 1.0) -> float:
-        """scale * prefactor * C(h-m+2n-2, 2n-3), the constant in front of W_k P_m.
-
-        The scale (a kernel constant c) is multiplied in first, so every
-        caller rounds the product the same way.
-        """
-        return scale * self.prefactor * math.comb(self.h - self.m + 2 * self.n - 2, 2 * self.n - 3)
-
 
 def _kernel_rungs(n: int, a: Array, s: Array, wanted, bufs):
     """Yield (k, m, W_k(a, s), P_m^{(2n-3, k+1)}(2s - 1)) for each m in wanted[k], by ascending k, then m.
@@ -131,19 +115,20 @@ def _kernel_rungs(n: int, a: Array, s: Array, wanted, bufs):
 
 
 def _kernel_row(idx: KernelIndex, a: Array, s: Array, scale: float, bufs) -> Array:
-    """scale * raw kernel from invariants taken as they are, by _kernel_rungs.
+    """(scale * W_k) * P_m from invariants taken as they are, by _kernel_rungs.
 
     bufs are _kernel_rungs' seven buffers; the value is written into one of
     the Chebyshev rungs, so it is valid only until bufs are reused.
     """
     _, _, w, p = next(_kernel_rungs(idx.n, a, s, {idx.k: (idx.m,)}, bufs))
-    return np.multiply(np.multiply(w, idx.coefficient(scale), out=w), p, out=w)
+    return np.multiply(np.multiply(w, scale, out=w), p, out=w)
 
 
 def raw_kernel_values(idx: KernelIndex, a, s):
-    """The raw kernel, from the invariants a = Re<x,y> and s = |<x,y>|^2, as a fresh array.
+    """The kernel without its constant, W_k(a, s) P_m^{(2n-3, k+1)}(2s - 1), as a fresh array.
 
-    Invariants of no quaternion, or with 2s - 1 outside [-1, 1], beyond 1e-12 are rejected.
+    a = Re<x,y> and s = |<x,y>|^2 are a pair's invariants; invariants of no
+    quaternion, or with 2s - 1 outside [-1, 1], beyond 1e-12 are rejected.
     """
     a, s = np.broadcast_arrays(np.asarray(a, dtype=np.float64), np.asarray(s, dtype=np.float64))
     _require_invariants(a, s)
@@ -153,10 +138,11 @@ def raw_kernel_values(idx: KernelIndex, a, s):
 
 @dataclass(frozen=True)
 class CalibratedKernel:
-    """Raw kernel together with the idempotency-fixing constant c.
+    """A kernel index with its constant c: the kernel is c * raw_kernel_values.
 
-    A constant from calibrate() has spread 0; a spread of 5% or more marks
-    the kernel unusable.
+    A kernel from calibrate() has the exact constant and spread 0; a kernel
+    built with c = 0 or a spread of 5% or more is unusable, and evaluating
+    it raises UnusableKernelError.
     """
 
     index: KernelIndex
@@ -174,7 +160,7 @@ class CalibratedKernel:
             )
 
     def values(self, x_vec: Array, points: Array) -> Array:
-        """Calibrated kernel between one point and an array of points."""
+        """The kernel between one point and an array of points."""
         self.require_usable()
         a, s = pair_invariants(x_vec, points)
         return self.c * raw_kernel_values(self.index, a, s)
@@ -201,11 +187,11 @@ class CalibratedKernel:
 
 
 def calibrate(idx: KernelIndex, n_samples: int, seed: int) -> CalibratedKernel:
-    """The kernel constant c = dim(h, m) / raw(1, 1), exact up to rounding.
+    """The kernel with its constant c = dim(h, m) / ((k + 1) C(m + 2n - 3, m)), rounded once.
 
     Nothing is sampled: n_samples and seed are ignored.
     """
-    c = idx.dimension / float(raw_kernel_values(idx, 1.0, 1.0))
+    c = idx.dimension / ((idx.k + 1) * math.comb(idx.m + 2 * idx.n - 3, idx.m))
     return CalibratedKernel(index=idx, c=c, spread=0.0)
 
 

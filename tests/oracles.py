@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 
+from quatsphere.ortho_poly import JacobiParams, cheb_u_scaled, jacobi_eval
 from quatsphere.quat_core import AXES, _left_mul_matrix, pair_invariants, pair_invariants_matrix
 from quatsphere.verification import _merge_moments
 from quatsphere.zonal_kernel import _kernel_row, raw_kernel_values
@@ -51,11 +52,23 @@ def flow_points(points, axis, t):
 
 
 def raw_kernel(idx, x, y):
-    """Raw (uncalibrated) kernel between two sphere points."""
+    """The library's kernel without its constant, W_k P_m, between two sphere points."""
     if x.n != idx.n or y.n != idx.n:
         raise ValueError("points and kernel index live on different spheres")
     a, s = pair_invariants(x.vec, y.vec[None, :])
     return float(raw_kernel_values(idx, a[0], s[0]))
+
+
+def paper_raw_kernel(idx, a, s):
+    """The paper's displayed kernel formula at the invariants a = Re<x,y>, s = |<x,y>|^2.
+
+    (k+1)(h+2m-1) / ((2n-2)(2n-1)) * C(h-m+2n-2, 2n-3) * W_k(a, s) * P_m^{(2n-3, k+1)}(2s - 1),
+    with k = h - 2m.  Its constant is negative at (0, 0) and 0 at (1, 0).
+    """
+    h, m, n, k = idx.h, idx.m, idx.n, idx.k
+    pref = (k + 1) * (h + 2 * m - 1) / ((2 * n - 2) * (2 * n - 1))
+    jacobi = jacobi_eval(JacobiParams(2 * n - 3, k + 1, m), 2.0 * np.asarray(s, dtype=np.float64) - 1.0)
+    return pref * math.comb(h - m + 2 * n - 2, 2 * n - 3) * cheb_u_scaled(k, a, s) * jacobi
 
 
 def chunked_product_moments(kernels, ends, samples):

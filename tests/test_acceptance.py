@@ -77,15 +77,10 @@ def test_criterion_3_calibration_self_consistency():
     bank6 = calibrate_bank(2, 6)
     elapsed = time.monotonic() - t0
     worst_spread = max(ck.spread for ck in bank6.values())
-    worst_int_dev = 0.0
-    for ck in bank6.values():
-        d = ck.diagonal()
-        nearest = max(round(d), 1)
-        worst_int_dev = max(worst_int_dev, abs(d - nearest) / nearest)
-    const_dev = abs(bank6[(0, 0)].diagonal() - 1.0)
-    ok = worst_spread < 0.05 and worst_int_dev <= 0.02 and const_dev <= 0.02 and elapsed < 300.0
-    report(3, "calibration spread < 5% and diagonals within 2% of positive integers (h <= 6)", ok,
-           f"worst spread {worst_spread:.3f}, worst integer dev {worst_int_dev:.3f}, {elapsed:.1f}s")
+    worst_dim_dev = max(abs(ck.diagonal() - ck.index.dimension) / ck.index.dimension for ck in bank6.values())
+    ok = worst_spread == 0.0 and worst_dim_dev <= 1e-12 and elapsed < 300.0
+    report(3, "calibration spread 0 and every diagonal equals its dimension to 1e-12 (h <= 6)", ok,
+           f"worst spread {worst_spread:.3f}, worst dimension dev {worst_dim_dev:.1e}, {elapsed:.1f}s")
     assert ok
 
 

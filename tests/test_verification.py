@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -186,14 +187,13 @@ class TestExactGram:
         assert not result.passed
         assert result.detail == f"(7,2): norm {2.25 * dim:.6g} vs dimension {dim}"  # a 125% miss
 
-    def test_unusable_kernel_keeps_its_entry(self, bank8):
+    def test_unusable_kernel_raises(self, bank8):
         bank = dict(bank8)
         bank[(3, 1)] = dataclasses.replace(bank8[(3, 1)], spread=0.5)
-        result = verification.check_orthogonality(bank, 2, 8, 200_000, 1)
-        with pytest.raises(verification.UnusableKernelError) as exc:
+        with pytest.raises(zonal_kernel.UnusableKernelError) as exc:
             bank[(3, 1)].require_usable()
-        assert not result.passed
-        assert result.detail == str(exc.value)
+        with pytest.raises(zonal_kernel.UnusableKernelError, match=re.escape(str(exc.value))):
+            verification.check_orthogonality(bank, 2, 8, 200_000, 1)
 
 
 class TestIdempotencyDiagonals:
@@ -215,12 +215,12 @@ class TestIdempotencyDiagonals:
         dim = bank8[key].index.dimension
         assert result.detail == f"({key[0]},{key[1]}): diagonal {1.5 * bank8[key].diagonal():.6g} vs dimension {dim}"
 
-    def test_unusable_kernel_keeps_its_entry(self, bank8, monkeypatch):
+    def test_unusable_kernel_raises(self, bank8, monkeypatch):
         drawn = self.drawn_index(7)
         bank = dict(bank8)
         bank[drawn] = dataclasses.replace(bank8[drawn], spread=0.5)
         monkeypatch.setattr(verification, "_PAIRS", 1)
-        result = verification.check_idempotency(bank, 2, 8, 3000, 7)
-        with pytest.raises(verification.UnusableKernelError) as exc:
+        with pytest.raises(zonal_kernel.UnusableKernelError) as exc:
             bank[drawn].require_usable()
-        assert result.detail == str(exc.value)
+        with pytest.raises(zonal_kernel.UnusableKernelError, match=re.escape(str(exc.value))):
+            verification.check_idempotency(bank, 2, 8, 3000, 7)

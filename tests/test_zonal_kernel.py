@@ -1,4 +1,6 @@
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from quatsphere.quat_core import pair_invariants_matrix, sphere_sample_chunks
 from quatsphere.verification import _TAG_PRODUCT, _merge_moments, _product_integrals, _product_moments
 from quatsphere.zonal_kernel import raw_kernel_values
 
-from .oracles import chunked_product_moments, raw_kernel
+from .oracles import chunked_product_moments, paper_raw_kernel, raw_kernel
 
 
 def point_pair_with_invariants(a: float, s: float) -> tuple[SpherePoint, SpherePoint]:
@@ -84,21 +86,25 @@ class TestIndexSet:
 
 class TestRawKernel:
     def test_hand_expanded_values_at_2_1(self):
-        # raw_{2,1} = (1*3)/(2*3) * C(3,1) * W_0 * P_1^{(1,2-2+1... )}: reduces to 3*(2s-1)
+        # paper: (1*3)/(2*3) * C(3,1) * W_0 * P_1^{(1,1)}(2s-1) = 3*(2s-1); the library's W_0 P_1 is 2*(2s-1)
         idx = KernelIndex(2, 1, 2)
+        assert abs(paper_raw_kernel(idx, 0.5, 0.5) - 0.0) <= 1e-12
+        assert abs(paper_raw_kernel(idx, 0.5, 0.7) - 1.2) <= 1e-12
         x, y = point_pair_with_invariants(0.5, 0.5)
         assert abs(raw_kernel(idx, x, y) - 0.0) <= 1e-12
         x, y = point_pair_with_invariants(0.5, 0.7)
-        assert abs(raw_kernel(idx, x, y) - 1.2) <= 1e-12
+        assert abs(raw_kernel(idx, x, y) - 0.8) <= 1e-12
 
     def test_hand_expanded_values_at_3_1(self):
-        # raw_{3,1} = (2*4)/6 * C(4,1) * 2a * (5s-3) / ... = (16/3) * 2a * P_1^{(1,2)}(2s-1)
+        # paper: (2*4)/6 * C(4,1) * 2a * P_1^{(1,2)}(2s-1) = (16/3) * 2a * (2 + 2.5 * ((2s-1) - 1))
         idx = KernelIndex(3, 1, 2)
         a, s = 0.5, 0.7
-        x, y = point_pair_with_invariants(a, s)
         expected = (2 * 4 / 6) * 4 * (2 * a) * (2 + 2.5 * ((2 * s - 1) - 1))
-        assert abs(raw_kernel(idx, x, y) - expected) <= 1e-12
+        assert abs(paper_raw_kernel(idx, a, s) - expected) <= 1e-12
         assert abs(expected - 8.0 / 3.0) <= 1e-12
+        # the library's W_1 P_1 = 2a * (2 + 2.5 * ((2s-1) - 1))
+        x, y = point_pair_with_invariants(a, s)
+        assert abs(raw_kernel(idx, x, y) - 0.5) <= 1e-12
 
     def test_diagonal_constancy(self):
         idx = KernelIndex(4, 1, 2)
@@ -125,7 +131,7 @@ class TestRawKernel:
         assert abs(v1 - v2) <= 1e-10 * max(1.0, abs(v1))
 
     def test_degenerate_prefactor_index_is_not_zero(self):
-        # the displayed constant vanishes at (1, 0); the kernel must not
+        # the paper's displayed constant vanishes at (1, 0); the kernel must not
         idx = KernelIndex(1, 0, 2)
         x, y = point_pair_with_invariants(0.5, 0.5)
         assert raw_kernel(idx, x, y) != 0.0
@@ -144,8 +150,9 @@ class TestRawKernel:
         # s < -1e-12, a^2 > s + 1e-12 and 2s - 1 > 1 + 1e-12 are rejected; within 1e-12 they are not
         idx = KernelIndex(4, 1, 2)
         assert math.isfinite(float(raw_kernel_values(idx, a, s_in)))
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=message) as exc:
             raw_kernel_values(idx, a, s_out)
+        assert "jacobi_eval" not in str(exc.value)
         with pytest.raises(ValueError, match=message):
             raw_kernel_values(idx, np.array([0.1, a]), np.array([0.2, s_out]))
 
@@ -153,16 +160,37 @@ class TestRawKernel:
 class TestCalibration:
     def test_constant_index_is_exact(self):
         ck = calibrate(KernelIndex(0, 0, 2), 20_000, seed=3)
-        assert abs(ck.c + 3.0) <= 1e-9
+        assert ck.c == 1.0
         assert ck.spread <= 1e-12
         assert abs(ck.diagonal() - 1.0) <= 1e-9
 
     def test_sign_absorption_at_0_0(self):
-        # the raw constant is negative there; calibration flips it
-        ck = calibrate(KernelIndex(0, 0, 2), 20_000, seed=3)
-        assert ck.c < 0
+        # the paper's constant is negative there (its K(x, x) is -1/3); the exact constant absorbs the sign
+        idx = KernelIndex(0, 0, 2)
+        assert idx.dimension / paper_raw_kernel(idx, 1.0, 1.0) < 0
+        ck = calibrate(idx, 20_000, seed=3)
         x, y = point_pair_with_invariants(0.2, 0.3)
-        assert abs(ck(x, y) - 1.0) <= 1e-9
+        assert ck(x, y) == 1.0
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_constant_is_the_exact_rational_rounded_once(self, n):
+        # c = dim / (W_k(1, 1) P_m^{(2n-3, k+1)}(1)) = dim / ((k + 1) C(m + 2n - 3, m)), bit for bit
+        for idx in index_range(n, 16):
+            exact = Fraction(idx.dimension, (idx.k + 1) * math.comb(idx.m + 2 * n - 3, idx.m))
+            assert calibrate(idx, 0, 0).c == float(exact), idx
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_kernel_is_the_paper_formula_normalized(self, n):
+        # K = dim / paper_raw(1, 1) * paper_raw wherever the paper's constant is nonzero, i.e. except at (1, 0)
+        ys = sphere_samples(n, 40, [n, 17])
+        x = ys[0]
+        a, s = quat_core.pair_invariants(x, ys)
+        for idx in index_range(n, 8):
+            if (idx.h, idx.m) == (1, 0):
+                continue
+            expected = idx.dimension / paper_raw_kernel(idx, 1.0, 1.0) * paper_raw_kernel(idx, a, s)
+            got = calibrate(idx, 0, 0).values(x, ys)
+            assert np.max(np.abs(got - expected)) <= 1e-12 * idx.dimension, idx
 
     def test_spreads_and_integer_diagonals(self, bank8):
         for (h, m), ck in bank8.items():
@@ -317,13 +345,15 @@ class TestBlockedSamplePath:
         assert "raw_kernel_values" in calls
 
     def test_product_integral_refuses_unusable_kernels(self, bank8):
-        # the trial with an unusable kernel, first or second, is reported; the others are still evaluated
+        # an unusable kernel, first or second in its trial, raises with its message
         bad = CalibratedKernel(KernelIndex(2, 1, 2), c=1.0, spread=0.5)
         good = bank8[(2, 1)]
-        results = _product_integrals([(bad, good), (good, good), (good, bad)], 2, 20_000, 5, _TAG_PRODUCT)
         with pytest.raises(UnusableKernelError) as exc:
             bad.require_usable()
-        assert results[0] == results[2] == str(exc.value)
+        for trials in ([(bad, good), (good, good)], [(good, good), (good, bad)]):
+            with pytest.raises(UnusableKernelError, match=re.escape(str(exc.value))):
+                _product_integrals(trials, 2, 20_000, 5, _TAG_PRODUCT)
+        results = _product_integrals([(good, good)] * 2, 2, 20_000, 5, _TAG_PRODUCT)
         prod = pointwise_products(good, good, 20_000, 5, trial=1)
         assert results[1][0] == pytest.approx(np.mean(prod), rel=1e-12)
 
