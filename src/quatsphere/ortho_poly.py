@@ -7,11 +7,18 @@ used here (m up to ~30).  Each recurrence is written once, as a ladder
 generator yielding degree after degree: the pointwise evaluators take one
 rung, and zonal_kernel._kernel_rungs walks every rung the kernels need.
 
-A ladder writes each rung in place into one of three rotating buffers, so
-a yielded rung is valid only until the ladder advances.  The kernel walk
-passes buffers its callers reuse for every block; the pointwise evaluators
-check their domain and let the ladder allocate, so each call returns a
-fresh array.
+Both ladders yield as rung 0 an all-ones buffer that they never write, so
+one such buffer, filled once, serves every ladder of a walk.  They write
+each later rung in place into one of two alternating buffers (the Chebyshev
+ladder also keeps 2a in a third), so a yielded rung is valid only until the
+ladder advances, and they write a scratch buffer only while they advance,
+so a caller may use it between rungs.  Values the recurrence knows exactly
+are not recomputed: 1 * v = v, and halving a float that is not subnormal
+only moves its exponent, so each rung has the bits of the plain recurrence
+(the kernel walk's 2s - 1 is 0 or a multiple of 2^-53, never subnormal).
+The kernel walk passes buffers its callers reuse for every block; the
+pointwise evaluators check their domain and let the ladder allocate, so
+each call returns a fresh array.
 """
 
 from __future__ import annotations
@@ -38,37 +45,46 @@ class JacobiParams:
             raise ValueError(f"degree must be non-negative, got {self.degree}")
 
 
+def _ladder_buffers(shape, count: int) -> list:
+    """An all-ones array and count - 1 empty float64 arrays of one shape."""
+    return [np.ones(shape)] + [np.empty(shape) for _ in range(count - 1)]
+
+
 def jacobi_ladder(alpha: float, beta: float, x, out=None):
     """Yield P_0, P_1, P_2, ... of P_m^{(alpha,beta)}(x) by the three-term recurrence.
 
-    x is used as given (no domain check).  Every rung is written in place
-    into one of three rotating arrays of x's shape: `out` (three float64
-    arrays) or, if None, three the ladder allocates.  A yielded rung is
-    valid only until the ladder advances.
+    x is used as given (no domain check).  `out` is four float64 arrays of
+    x's shape, or None for four the ladder allocates: out[0] holds ones and
+    is yielded as P_0 (the ladder never writes it), P_1, P_2, ... are
+    written in place into out[1] and out[2] in turn, and out[3] is scratch
+    the ladder writes only while it advances.  A yielded rung is valid only
+    until the ladder advances.
     """
-    p_prev, p, nxt = out if out is not None else [np.empty(np.shape(x)) for _ in range(3)]
-    p_prev.fill(1.0)
-    yield p_prev
+    ones, p, nxt, tmp = out if out is not None else _ladder_buffers(np.shape(x), 4)
+    yield ones
     apb = alpha + beta
-    # 0.5 * (alpha - beta + (apb + 2.0) * x)
-    np.multiply(x, apb + 2.0, out=p)
-    np.add(p, alpha - beta, out=p)
-    np.multiply(p, 0.5, out=p)
+    # 0.5 * (alpha - beta + (apb + 2.0) * x), with the exact halving moved onto the constants
+    np.multiply(x, (apb + 2.0) / 2.0, out=p)
+    np.add(p, (alpha - beta) / 2.0, out=p)
     yield p
-    k = 2
+    p_prev, k = ones, 2
     while True:
         c1 = 2.0 * k * (k + apb) * (2.0 * k + apb - 2.0)
         c2 = (2.0 * k + apb - 1.0) * (alpha * alpha - beta * beta)
         c3 = (2.0 * k + apb - 2.0) * (2.0 * k + apb - 1.0) * (2.0 * k + apb)
         c4 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * (2.0 * k + apb)
-        # ((c2 + c3 * x) * p - c4 * p_prev) / c1
-        np.multiply(x, c3, out=nxt)
-        np.add(nxt, c2, out=nxt)
-        np.multiply(nxt, p, out=nxt)
-        np.multiply(p_prev, c4, out=p_prev)
-        np.subtract(nxt, p_prev, out=nxt)
+        # ((c2 + c3 * x) * p - c4 * p_prev) / c1, written over p_prev, where c4 * P_0 = c4
+        np.multiply(x, c3, out=tmp)
+        np.add(tmp, c2, out=tmp)
+        np.multiply(tmp, p, out=tmp)
+        if p_prev is ones:
+            np.subtract(tmp, c4, out=nxt)
+        else:
+            np.multiply(p_prev, c4, out=nxt)
+            np.subtract(tmp, nxt, out=nxt)
         np.divide(nxt, c1, out=nxt)
-        p_prev, p, nxt = p, nxt, p_prev
+        p_prev, p = p, nxt
+        nxt = p_prev
         yield p
         k += 1
 
@@ -76,23 +92,30 @@ def jacobi_ladder(alpha: float, beta: float, x, out=None):
 def cheb_ladder(a, s, out=None):
     """Yield W_0, W_1, W_2, ... of W_k(a, s) = |q|^k U_k(a/|q|) (see cheb_u_scaled).
 
-    a and s must share one shape.  Every rung is written in place into one of
-    three rotating arrays of that shape: `out` (three float64 arrays) or, if
-    None, three the ladder allocates.  A yielded rung is valid only until the
-    ladder advances.
+    a and s must share one shape.  `out` is five float64 arrays of that
+    shape, or None for five the ladder allocates: out[0] holds ones and is
+    yielded as W_0 (the ladder never writes it), out[1] receives W_1 = 2a
+    and keeps it for every later rung (it may be a itself, which is then
+    overwritten), W_2, W_3, ... are written in place into out[2] and out[3]
+    in turn, and out[4] is scratch the ladder writes only while it advances.
+    A yielded rung is valid only until the ladder advances.
     """
-    w_prev, w, nxt = out if out is not None else [np.empty(np.shape(a)) for _ in range(3)]
-    w_prev.fill(1.0)
-    yield w_prev
-    np.multiply(a, 2.0, out=w)
+    ones, two_a, w, nxt, tmp = out if out is not None else _ladder_buffers(np.shape(a), 5)
+    yield ones
+    np.multiply(a, 2.0, out=two_a)
+    yield two_a
+    # W_2 = 2a * 2a - s * W_0, where s * W_0 = s
+    np.multiply(two_a, two_a, out=w)
+    np.subtract(w, s, out=w)
     yield w
+    w_prev = two_a
     while True:
-        # 2.0 * a * w - s * w_prev
-        np.multiply(a, 2.0, out=nxt)
-        np.multiply(nxt, w, out=nxt)
-        np.multiply(s, w_prev, out=w_prev)
-        np.subtract(nxt, w_prev, out=nxt)
-        w_prev, w, nxt = w, nxt, w_prev
+        # 2a * W_{k-1} - s * W_{k-2}, written over W_{k-2} once W_1 = 2a is behind
+        np.multiply(two_a, w, out=tmp)
+        np.multiply(s, w_prev, out=nxt)
+        np.subtract(tmp, nxt, out=nxt)
+        w_prev, w = w, nxt
+        nxt = w_prev
         yield w
 
 

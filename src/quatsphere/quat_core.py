@@ -175,10 +175,10 @@ def sphere_samples(n: int, count: int, seed: int | Sequence[int]) -> Array:
 # ---------------------------------------------------------------------------
 
 # Pairs per block of the kernel-sum engine: 32768 float64 elements are
-# 256 KB per block array.  spectral._projection_matrix holds ten such buffers
-# per call (spectral._ENGINE_BUFFERS) and reuses them for every block and
-# rung: 2.5 MiB in all, about one 2 MB L2 cache.  tracemalloc measured a
-# 2.58 MiB peak for one 384-probe, 25-index call over 5000 atoms.
+# 256 KB per block array.  spectral._projection_matrix holds nine such
+# buffers per call (spectral._ENGINE_BUFFERS) and reuses them for every block
+# and rung: 2.25 MiB in all, about one 2 MB L2 cache.  tracemalloc measured a
+# 2.46 MiB peak for one 384-probe, 25-index call over 5000 atoms.
 _BLOCK_ELEMENTS = 32_768
 
 

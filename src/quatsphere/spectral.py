@@ -227,9 +227,11 @@ class SpectrumReport:
 
 KernelBank = Mapping[tuple[int, int], CalibratedKernel]
 
-# block buffers per _projection_matrix call: a, s and one scratch (which
-# later holds W_k P_m), then zonal_kernel._kernel_rungs' seven
-_ENGINE_BUFFERS = 10
+# block buffers per _projection_matrix call: zonal_kernel._kernel_rungs'
+# eight (a sits where the walk writes 2a, and pair_invariants_matrix's scratch
+# is the walk's scratch, which also takes each W_k P_m product between
+# rungs), then s
+_ENGINE_BUFFERS = 9
 
 
 def _projection_matrix(measure: DiscreteMeasure, cks: Sequence[CalibratedKernel], xs: Array) -> Array:
@@ -241,10 +243,12 @@ def _projection_matrix(measure: DiscreteMeasure, cks: Sequence[CalibratedKernel]
     most quat_core._BLOCK_ELEMENTS pairs, and the ladder arrays stay
     cache-sized.
     Per block the pair invariants are computed once and one walk of
-    zonal_kernel._kernel_rungs yields W_k P_m for every index some kernel
-    needs.  Every block array (the invariants, the walk's rungs and the
-    W_k P_m product) is a view into one stack of _ENGINE_BUFFERS block-sized
-    buffers allocated per call, so the walk allocates nothing per rung.
+    zonal_kernel._kernel_rungs yields W_k and P_m for every index some
+    kernel needs; each kernel's weight contraction is one GEMV into its row
+    of `sums`, and one update adds c * sums to every row of the result.
+    Every block array (the invariants, the walk's rungs and the W_k P_m
+    product) is a view into one stack of _ENGINE_BUFFERS block-sized buffers
+    allocated per call, so the walk allocates nothing per rung.
     With no kernel the values are zeros and nothing is computed.
     """
     for ck in cks:
@@ -254,25 +258,29 @@ def _projection_matrix(measure: DiscreteMeasure, cks: Sequence[CalibratedKernel]
     out = np.zeros((len(cks), xs.shape[0]))
     if not cks:
         return out
-    by_k: dict[int, dict[int, list[tuple[int, float]]]] = {}
+    by_k: dict[int, dict[int, list[int]]] = {}
     for row, ck in enumerate(cks):
-        idx = ck.index
-        by_k.setdefault(idx.k, {}).setdefault(idx.m, []).append((row, ck.c))
+        by_k.setdefault(ck.index.k, {}).setdefault(ck.index.m, []).append(row)
+    coeffs = np.array([ck.c for ck in cks])[:, None]
 
     chunk = max(1, min(xs.shape[0], quat_core._BLOCK_ELEMENTS))
     block = max(1, quat_core._BLOCK_ELEMENTS // chunk)
     stack = quat_core._aligned_empty((_ENGINE_BUFFERS, chunk * min(block, measure.natoms)))
+    stack[0].fill(1.0)
+    sums = np.empty((len(cks), chunk))
     for p0, lo in itertools.product(range(0, xs.shape[0], chunk), range(0, measure.natoms, block)):
         xc = xs[p0 : p0 + chunk]
         pts = measure.points[lo : lo + block]
         wb = measure.weights[lo : lo + block]
         bufs = [b[: len(xc) * len(pts)].reshape(len(xc), len(pts)) for b in stack]
-        a, s = pair_invariants_matrix(xc, pts, out=bufs[0:3])
-        for k, m, wk, pm in _kernel_rungs(measure.n, a, s, by_k, bufs[3:]):
-            # P_0 = 1, and multiplying by exactly 1.0 changes no bit
-            sums = (wk if m == 0 else np.multiply(wk, pm, out=bufs[2])) @ wb
-            for row, coeff in by_k[k][m]:
-                out[row, p0 : p0 + chunk] += coeff * sums
+        a, s = pair_invariants_matrix(xc, pts, out=[bufs[1], bufs[8], bufs[4]])
+        for k, m, wk, pm in _kernel_rungs(measure.n, a, s, by_k, bufs[:8]):
+            # W_0 = P_0 = 1, and multiplying by exactly 1.0 changes no bit
+            terms = pm if k == 0 else wk if m == 0 else np.multiply(wk, pm, out=bufs[4])
+            for row in by_k[k][m]:
+                np.matmul(terms, wb, out=sums[row, : len(xc)])
+        block_sums = sums[:, : len(xc)]
+        out[:, p0 : p0 + chunk] += np.multiply(block_sums, coeffs, out=block_sums)
     return out
 
 

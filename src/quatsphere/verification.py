@@ -166,22 +166,25 @@ def _product_moments(kernels, ends: Array, pieces) -> tuple[Array, Array]:
     endpoint; then each trial's two kernel rows walk the ladders.  All of it
     runs in one buffer stack: a, s, and a scratch region that holds
     pair_invariants_matrix's third buffer, then zonal_kernel._kernel_row's
-    seven buffers and the trial products.  An unusable kernel fails with its
-    message before anything is computed.
+    eight buffers (the first holding ones; the second kernel row goes into
+    their scratch) and the trial products.  An unusable kernel fails with its message before
+    anything is computed.
     """
     for ck in itertools.chain.from_iterable(kernels):
         ck.require_usable()
     e, t = len(ends), len(kernels)
-    stack = quat_core._aligned_empty((2 * e + max(e, 7 + t), quat_core._SAMPLE_PIECE))
+    stack = quat_core._aligned_empty((2 * e + max(e, 8 + t), quat_core._SAMPLE_PIECE))
     moments = (0, np.zeros(t), np.zeros(t))
     for ys in pieces:
         w = len(ys)
         a, s, c = (stack[lo : lo + e].reshape(-1)[: e * w].reshape(e, w) for lo in (0, e, 2 * e))
         pair_invariants_matrix(ends, ys, out=[a, s, c])
-        bufs, prods = stack[2 * e : 2 * e + 7, :w], stack[2 * e + 7 : 2 * e + 7 + t, :w]
+        bufs, prods = stack[2 * e : 2 * e + 8, :w], stack[2 * e + 8 : 2 * e + 8 + t, :w]
+        # the ones share rows with c, which the GEMM call overwrites
+        bufs[0].fill(1.0)
         for i, (ck1, ck2) in enumerate(kernels):
-            prods[i] = _kernel_row(ck1.index, a[2 * i], s[2 * i], ck1.c, bufs)
-            prods[i] *= _kernel_row(ck2.index, a[2 * i + 1], s[2 * i + 1], ck2.c, bufs)
+            _kernel_row(ck1.index, a[2 * i], s[2 * i], ck1.c, bufs, prods[i])
+            prods[i] *= _kernel_row(ck2.index, a[2 * i + 1], s[2 * i + 1], ck2.c, bufs, bufs[4])
         moments = _merge_moments(moments, prods)
     count, mean, m2 = moments
     if count < 2:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ortho_poly import _require_invariants, _require_unit_interval, cheb_ladder, jacobi_ladder
+from .ortho_poly import _ladder_buffers, _require_invariants, _require_unit_interval, cheb_ladder, jacobi_ladder
 from .quat_core import Array, SpherePoint, pair_invariants
 
 _SPREAD_LIMIT = 0.05
@@ -96,32 +96,43 @@ class KernelIndex:
         return (self.k + 1) * sp_dim
 
 
+def _raw_diagonal(idx: KernelIndex) -> int:
+    """W_k(1, 1) P_m^{(2n-3, k+1)}(1) = (k + 1) C(m + 2n - 3, m), the kernel without its constant at x = y."""
+    return (idx.k + 1) * math.comb(idx.m + 2 * idx.n - 3, idx.m)
+
+
 def _kernel_rungs(n: int, a: Array, s: Array, wanted, bufs):
     """Yield (k, m, W_k(a, s), P_m^{(2n-3, k+1)}(2s - 1)) for each m in wanted[k], by ascending k, then m.
 
     The Chebyshev ladder is walked once, and one Jacobi ladder per needed k
-    on 2s - 1 clipped to [-1, 1].  bufs are seven float64 arrays of a's
-    shape, all overwritten: three Chebyshev rungs, 2s - 1 and three Jacobi
-    rungs.  A yielded pair of rungs is valid only until the walk advances.
+    on 2s - 1 clipped to [-1, 1].  bufs are eight float64 arrays of a's
+    shape: bufs[0] holds ones, filled by the caller and shared as W_0 and
+    P_0; bufs[1] receives 2a (it may be a itself); bufs[2:4] take the
+    Chebyshev rungs, bufs[4] is the ladders' scratch, bufs[5] takes 2s - 1
+    and bufs[6:8] the Jacobi rungs.  All but bufs[0] are overwritten.  A
+    yielded pair of rungs is valid only until the walk advances, and the
+    caller must not write into it; the scratch is written only while the
+    walk advances, so the caller may use it between rungs.
     """
-    x = np.subtract(np.multiply(s, 2.0, out=bufs[3]), 1.0, out=bufs[3])
+    x = np.subtract(np.multiply(s, 2.0, out=bufs[5]), 1.0, out=bufs[5])
     np.clip(x, -1.0, 1.0, out=x)
-    for k, w in zip(range(max(wanted) + 1), cheb_ladder(a, s, out=bufs[:3])):
+    for k, w in zip(range(max(wanted) + 1), cheb_ladder(a, s, out=bufs[:5])):
         if k in wanted:
             degrees = wanted[k]
-            for m, p in zip(range(max(degrees) + 1), jacobi_ladder(2 * n - 3, k + 1, x, out=bufs[4:])):
+            jacobi_bufs = [bufs[0], bufs[6], bufs[7], bufs[4]]
+            for m, p in zip(range(max(degrees) + 1), jacobi_ladder(2 * n - 3, k + 1, x, out=jacobi_bufs)):
                 if m in degrees:
                     yield k, m, w, p
 
 
-def _kernel_row(idx: KernelIndex, a: Array, s: Array, scale: float, bufs) -> Array:
-    """(scale * W_k) * P_m from invariants taken as they are, by _kernel_rungs.
+def _kernel_row(idx: KernelIndex, a: Array, s: Array, scale: float, bufs, out: Array) -> Array:
+    """(scale * W_k) * P_m from invariants taken as they are, by _kernel_rungs, written into out.
 
-    bufs are _kernel_rungs' seven buffers; the value is written into one of
-    the Chebyshev rungs, so it is valid only until bufs are reused.
+    bufs are _kernel_rungs' eight buffers, with bufs[0] holding ones.  The
+    walk stops at its one rung, so out may be its scratch, bufs[4].
     """
     _, _, w, p = next(_kernel_rungs(idx.n, a, s, {idx.k: (idx.m,)}, bufs))
-    return np.multiply(np.multiply(w, scale, out=w), p, out=w)
+    return np.multiply(np.multiply(w, scale, out=out), p, out=out)
 
 
 def raw_kernel_values(idx: KernelIndex, a, s):
@@ -133,7 +144,8 @@ def raw_kernel_values(idx: KernelIndex, a, s):
     a, s = np.broadcast_arrays(np.asarray(a, dtype=np.float64), np.asarray(s, dtype=np.float64))
     _require_invariants(a, s)
     _require_unit_interval(2.0 * s - 1.0)
-    return _kernel_row(idx, a, s, 1.0, [np.empty(a.shape) for _ in range(7)])
+    bufs = _ladder_buffers(a.shape, 8)
+    return _kernel_row(idx, a, s, 1.0, bufs, bufs[4])
 
 
 @dataclass(frozen=True)
@@ -169,9 +181,9 @@ class CalibratedKernel:
         return float(self.values(x.vec, y.vec[None, :])[0])
 
     def diagonal(self) -> float:
-        """Value on the diagonal, constant over the sphere."""
+        """Value on the diagonal, constant over the sphere: c W_k(1, 1) P_m(1), in closed form."""
         self.require_usable()
-        return self.c * float(raw_kernel_values(self.index, 1.0, 1.0))
+        return self.c * _raw_diagonal(self.index)
 
     def section(self, x0: SpherePoint):
         """The function y -> K(x0, y) as a vectorized callable on point arrays."""
@@ -191,7 +203,7 @@ def calibrate(idx: KernelIndex, n_samples: int, seed: int) -> CalibratedKernel:
 
     Nothing is sampled: n_samples and seed are ignored.
     """
-    c = idx.dimension / ((idx.k + 1) * math.comb(idx.m + 2 * idx.n - 3, idx.m))
+    c = idx.dimension / _raw_diagonal(idx)
     return CalibratedKernel(index=idx, c=c, spread=0.0)
 
 

@@ -79,7 +79,8 @@ def chunked_product_moments(kernels, ends, samples):
     """
     chunk, block = 1 << 16, 4096
     flat = np.empty((3, len(ends) * block))
-    bufs = np.empty((7, block))
+    bufs = np.empty((8, block))
+    bufs[0] = 1.0
     prods = np.empty((len(kernels), block))
     moments = (0, np.zeros(len(kernels)), np.zeros(len(kernels)))
     for c0 in range(0, len(samples), chunk):
@@ -89,8 +90,65 @@ def chunked_product_moments(kernels, ends, samples):
             w = len(ys)
             a, s = pair_invariants_matrix(ends, ys, out=[v[: len(ends) * w].reshape(-1, w) for v in flat])
             for t, (ck1, ck2) in enumerate(kernels):
-                prods[t, :w] = _kernel_row(ck1.index, a[2 * t], s[2 * t], ck1.c, bufs[:, :w])
-                prods[t, :w] *= _kernel_row(ck2.index, a[2 * t + 1], s[2 * t + 1], ck2.c, bufs[:, :w])
+                prods[t, :w] = _kernel_row(ck1.index, a[2 * t], s[2 * t], ck1.c, bufs[:, :w], bufs[4, :w])
+                prods[t, :w] *= _kernel_row(ck2.index, a[2 * t + 1], s[2 * t + 1], ck2.c, bufs[:, :w], bufs[4, :w])
             moments = _merge_moments(moments, prods[:, :w])
     count, mean, m2 = moments
     return mean, np.sqrt(m2 / (count - 1)) / math.sqrt(count)
+
+
+def three_buffer_jacobi_ladder(alpha, beta, x, out=None):
+    """The Jacobi ladder as ortho_poly once wrote it: three rotating buffers, P_0 filled by each ladder, P_1 in 3 passes."""
+    p_prev, p, nxt = out if out is not None else [np.empty(np.shape(x)) for _ in range(3)]
+    p_prev.fill(1.0)
+    yield p_prev
+    apb = alpha + beta
+    # 0.5 * (alpha - beta + (apb + 2.0) * x)
+    np.multiply(x, apb + 2.0, out=p)
+    np.add(p, alpha - beta, out=p)
+    np.multiply(p, 0.5, out=p)
+    yield p
+    k = 2
+    while True:
+        c1 = 2.0 * k * (k + apb) * (2.0 * k + apb - 2.0)
+        c2 = (2.0 * k + apb - 1.0) * (alpha * alpha - beta * beta)
+        c3 = (2.0 * k + apb - 2.0) * (2.0 * k + apb - 1.0) * (2.0 * k + apb)
+        c4 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * (2.0 * k + apb)
+        # ((c2 + c3 * x) * p - c4 * p_prev) / c1
+        np.multiply(x, c3, out=nxt)
+        np.add(nxt, c2, out=nxt)
+        np.multiply(nxt, p, out=nxt)
+        np.multiply(p_prev, c4, out=p_prev)
+        np.subtract(nxt, p_prev, out=nxt)
+        np.divide(nxt, c1, out=nxt)
+        p_prev, p, nxt = p, nxt, p_prev
+        yield p
+        k += 1
+
+
+def three_buffer_cheb_ladder(a, s, out=None):
+    """The Chebyshev ladder as ortho_poly once wrote it: three rotating buffers, 2a recomputed per rung."""
+    w_prev, w, nxt = out if out is not None else [np.empty(np.shape(a)) for _ in range(3)]
+    w_prev.fill(1.0)
+    yield w_prev
+    np.multiply(a, 2.0, out=w)
+    yield w
+    while True:
+        # 2.0 * a * w - s * w_prev
+        np.multiply(a, 2.0, out=nxt)
+        np.multiply(nxt, w, out=nxt)
+        np.multiply(s, w_prev, out=w_prev)
+        np.subtract(nxt, w_prev, out=nxt)
+        w_prev, w, nxt = w, nxt, w_prev
+        yield w
+
+
+def three_buffer_kernel_rungs(n, a, s, wanted):
+    """(k, m, W_k, P_m) for each m in wanted[k], walked as zonal_kernel once did, on the three-buffer ladders."""
+    x = np.clip(2.0 * s - 1.0, -1.0, 1.0)
+    for k, w in zip(range(max(wanted) + 1), three_buffer_cheb_ladder(a, s)):
+        if k in wanted:
+            degrees = wanted[k]
+            for m, p in zip(range(max(degrees) + 1), three_buffer_jacobi_ladder(2 * n - 3, k + 1, x)):
+                if m in degrees:
+                    yield k, m, w, p

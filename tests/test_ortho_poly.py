@@ -174,6 +174,11 @@ class TestChebUScaled:
             cheb_u_scaled(-1, 0.0, 1.0)
 
 
+def ladder_buffers(shape, count: int) -> list:
+    """A ladder's `out`: the shared all-ones array, then count - 1 arrays of garbage."""
+    return [np.ones(shape)] + [np.full(shape, np.nan) for _ in range(count - 1)]
+
+
 def allocating_cheb_rungs(a, s, k_max: int) -> list:
     """W_0..W_k_max by the recurrence written with fresh temporaries (the reference)."""
     rungs = [np.ones_like(a), 2.0 * a]
@@ -196,7 +201,7 @@ def allocating_jacobi_rungs(alpha, beta, x, m_max: int) -> list:
 
 
 class TestLadderContract:
-    """The ladders write rungs into rotating buffers, with the operation order of fresh temporaries."""
+    """The ladders write rungs into rotating buffers, with the bits of the recurrence on fresh temporaries."""
 
     @pytest.fixture(scope="class")
     def invariants(self):
@@ -208,7 +213,7 @@ class TestLadderContract:
     @pytest.mark.parametrize("own_buffers", [False, True])
     def test_cheb_rungs_equal_pointwise_bit_for_bit(self, invariants, own_buffers):
         a, s = invariants
-        out = [np.empty(a.shape) for _ in range(3)] if own_buffers else None
+        out = ladder_buffers(a.shape, 5) if own_buffers else None
         reference = allocating_cheb_rungs(a, s, 32)
         for k, w in zip(range(33), cheb_ladder(a, s, out=out)):
             assert np.array_equal(w, reference[k])
@@ -220,7 +225,7 @@ class TestLadderContract:
         _, s = invariants
         x = 2.0 * s - 1.0
         for k in range(9):
-            out = [np.empty(x.shape) for _ in range(3)] if own_buffers else None
+            out = ladder_buffers(x.shape, 4) if own_buffers else None
             reference = allocating_jacobi_rungs(2 * n - 3, k + 1.0, x, 32)
             for m, p in zip(range(33), jacobi_ladder(2 * n - 3, k + 1.0, x, out=out)):
                 assert np.array_equal(p, reference[m])
@@ -228,9 +233,25 @@ class TestLadderContract:
 
     def test_caller_buffers_hold_the_rungs(self, invariants):
         a, s = invariants
-        out = [np.empty(a.shape) for _ in range(3)]
+        out = ladder_buffers(a.shape, 5)
         for _, w in zip(range(6), cheb_ladder(a, s, out=out)):
             assert any(w is b for b in out)
+        x = 2.0 * s - 1.0
+        out = ladder_buffers(x.shape, 4)
+        for _, p in zip(range(6), jacobi_ladder(1, 3.0, x, out=out)):
+            assert any(p is b for b in out)
+        # the shared ones are read, never written
+        assert np.array_equal(out[0], np.ones(x.shape))
+
+    def test_two_a_may_overwrite_a(self, invariants):
+        a, s = invariants
+        reference = allocating_cheb_rungs(a, s, 8)
+        own = a.copy()
+        out = ladder_buffers(a.shape, 5)
+        out[1] = own
+        for k, w in zip(range(9), cheb_ladder(own, s, out=out)):
+            assert np.array_equal(w, reference[k])
+        assert np.array_equal(own, 2.0 * a)
 
     def test_successive_calls_return_distinct_arrays(self, invariants):
         a, s = invariants

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -224,6 +225,21 @@ class TestSpectrumScan:
             assert again.norm_sq == pytest.approx(e.norm_sq, rel=1e-12), (e.h, e.m)
         remult = apply_multiplier(mu, bank8, 0.2, 8, xs).values
         assert np.max(np.abs(remult - mult)) <= 1e-12 * np.max(np.abs(mult))
+
+    def test_engine_memory_is_bounded(self, bank8):
+        # one 384-probe, 25-index call over 5000 atoms holds nine block buffers of
+        # quat_core._BLOCK_ELEMENTS pairs, the per-kernel sums and the result: 2.46 MiB
+        assert spectral._ENGINE_BUFFERS == 9
+        xs, mu = sphere_samples(2, 384, 1), gen_uniform(2, 5000, seed=2)
+        cks = list(bank8.values())
+        assert len(cks) == 25
+        tracemalloc.start()
+        try:
+            spectral._projection_matrix(mu, cks, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.6 * 2**20, peak
 
     def test_blocks_hold_at_most_the_block_constant(self, bank8, x0, monkeypatch):
         pairs = []

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -31,7 +32,7 @@ from quatsphere.quat_core import pair_invariants_matrix, sphere_sample_chunks
 from quatsphere.verification import _TAG_PRODUCT, _merge_moments, _product_integrals, _product_moments
 from quatsphere.zonal_kernel import raw_kernel_values
 
-from .oracles import chunked_product_moments, paper_raw_kernel, raw_kernel
+from .oracles import chunked_product_moments, paper_raw_kernel, raw_kernel, three_buffer_kernel_rungs
 
 
 def point_pair_with_invariants(a: float, s: float) -> tuple[SpherePoint, SpherePoint]:
@@ -249,6 +250,14 @@ class TestExactConstants:
             assert ck.spread == 0.0
             assert ck.diagonal() == pytest.approx(idx.dimension, rel=1e-12), idx
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_closed_form_diagonal_has_the_walked_bits(self, n):
+        # c (k + 1) C(m + 2n - 3, m) rounds like c W_k(1, 1) P_m(1) from the ladders, which the
+        # scans' floors were pinned with; c * float(dimension) differs from it in the last bit on some indices
+        for idx in index_range(n, 16):
+            ck = calibrate(idx, 0, 0)
+            assert ck.diagonal() == ck.c * float(raw_kernel_values(idx, 1.0, 1.0)), idx
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_shell_sum_is_the_zonal_harmonic(self, n):
         # sum_m K_{h,m}(x, y) = dim_h C_h^{(2n-1)}(a) / C_h^{(2n-1)}(1), with a = Re<x,y>
@@ -368,7 +377,7 @@ class TestOneWalk:
         a = np.array([[0.3, -0.2, 1.0]])
         s = np.array([[0.5, 0.9, 1.0 + 4.4e-16]])
         wanted = {0: (2,), 3: (0, 1), 4: (2,)}
-        bufs = [np.empty(a.shape) for _ in range(7)]
+        bufs = [np.ones(a.shape)] + [np.empty(a.shape) for _ in range(7)]
         got = [(k, m, w.copy(), p.copy()) for k, m, w, p in zonal_kernel._kernel_rungs(2, a, s, wanted, bufs)]
         assert [(k, m) for k, m, _, _ in got] == [(0, 2), (3, 0), (3, 1), (4, 2)]
         for k, m, w, p in got:
@@ -403,6 +412,72 @@ class TestOneWalk:
             chebs.clear()
             run()
             assert module.__name__ in walks and len(chebs) == len(walks), name
+
+
+    @pytest.mark.parametrize("case", ["random", "s = 0", "a = 0", "s rounded above 1", "ragged block"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_walk_has_the_bits_of_the_three_buffer_ladders(self, n, case):
+        # the shared ones, the kept 2a, s W_0 = s, c4 P_0 = c4 and P_1's halving moved onto its constants
+        # change no bit of any rung k, m <= 32
+        rng = np.random.default_rng([n, 7])
+        s = rng.uniform(0.0, 1.0, (6, 11))
+        a = np.sqrt(s) * rng.uniform(-1.0, 1.0, s.shape)
+        if case == "s = 0":
+            a, s = np.zeros_like(a), np.zeros_like(s)
+        elif case == "a = 0":
+            a = np.zeros_like(a)
+        elif case == "s rounded above 1":
+            a[:, ::2], s[:, ::2] = 1.0, 1.0 + 4.4e-16
+        # the engine's layout: views at the head of wider buffers, 2a written over a, and the
+        # scratch overwritten between rungs
+        stack = np.empty((8, s.size + (13 if case == "ragged block" else 0)))
+        stack[0] = 1.0
+        bufs = [b[: s.size].reshape(s.shape) for b in stack]
+        bufs[1][...] = a
+        wanted = {k: range(33) for k in range(33)}
+        walk = zonal_kernel._kernel_rungs(n, bufs[1], s, wanted, bufs)
+        for got, want in itertools.zip_longest(walk, three_buffer_kernel_rungs(n, a, s, wanted)):
+            assert got[:2] == want[:2]
+            assert got[2].tobytes() == want[2].tobytes(), want[:2]
+            assert got[3].tobytes() == want[3].tobytes(), want[:2]
+            bufs[4].fill(np.nan)
+
+    def test_walk_pass_budget(self, monkeypatch):
+        # one walk of the 25 indices with h <= 8 at n = 2 makes at most 87 array calls (numpy calls and
+        # buffer fills); walking every value afresh, including the ones and 2a at each rung, made 117
+        calls = []
+
+        class Counted(np.ndarray):
+            def fill(self, value):
+                calls.append("fill")
+                super().fill(value)
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                attr = getattr(np, name)
+                if not callable(attr) or isinstance(attr, type):
+                    return attr
+                return lambda *args, **kw: calls.append(name) or attr(*args, **kw)
+
+        a, s = pair_invariants_matrix(sphere_samples(2, 16, 1), sphere_samples(2, 40, 2))
+        bufs = [np.ones(a.shape).view(Counted)] + [np.empty(a.shape).view(Counted) for _ in range(7)]
+        wanted = {}
+        for idx in index_range(2, 8):
+            wanted.setdefault(idx.k, []).append(idx.m)
+        for module in (ortho_poly, zonal_kernel):
+            monkeypatch.setattr(module, "np", CountingNumpy())
+        assert sum(1 for _ in zonal_kernel._kernel_rungs(2, a, s, wanted, bufs)) == 25
+        assert len(calls) <= 87, len(calls)
+
+    def test_scan_evaluates_no_pointwise_kernel(self, bank8, monkeypatch):
+        # a scan's floors take the diagonal in closed form, not from raw_kernel_values at (1, 1)
+        calls = []
+        for module in (zonal_kernel, spectral, verification):
+            for name, value in list(vars(module).items()):
+                if value is zonal_kernel.raw_kernel_values:
+                    monkeypatch.setattr(module, name, lambda *args, fn=value: calls.append(args) or fn(*args))
+        spectrum_scan(gen_uniform(2, 300, seed=3), bank8, 8, 0.1, probes=8, seed=1)
+        assert calls == []
 
 
 class TestStableMoments:
