@@ -12,7 +12,6 @@ from .ortho_poly import JacobiParams, cheb_u_scaled, jacobi_eval
 from .zonal_kernel import (
     CalibratedKernel,
     KernelIndex,
-    UnusableKernelError,
     calibrate,
     calibrate_bank,
     index_range,

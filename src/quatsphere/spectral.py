@@ -20,7 +20,7 @@ import csv
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -167,16 +167,7 @@ class SpectrumEntry:
     norm_sq_corrected: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "h": self.h,
-            "m": self.m,
-            "in_cone": self.in_cone,
-            "norm_sq": self.norm_sq,
-            "mc_stderr": self.mc_stderr,
-            "flagged_nonzero": self.flagged_nonzero,
-            "floor": self.floor,
-            "norm_sq_corrected": self.norm_sq_corrected,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -252,7 +243,6 @@ def _projection_matrix(measure: DiscreteMeasure, cks: Sequence[CalibratedKernel]
     With no kernel the values are zeros and nothing is computed.
     """
     for ck in cks:
-        ck.require_usable()
         if ck.index.n != measure.n:
             raise ValueError("measure and kernels live on different spheres")
     out = np.zeros((len(cks), xs.shape[0]))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -41,7 +41,7 @@ class CheckResult:
     detail: str
 
     def to_json_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
+        return asdict(self)
 
 
 def check_l1_l2() -> CheckResult:
@@ -167,11 +167,8 @@ def _product_moments(kernels, ends: Array, pieces) -> tuple[Array, Array]:
     runs in one buffer stack: a, s, and a scratch region that holds
     pair_invariants_matrix's third buffer, then zonal_kernel._kernel_row's
     eight buffers (the first holding ones; the second kernel row goes into
-    their scratch) and the trial products.  An unusable kernel fails with its message before
-    anything is computed.
+    their scratch) and the trial products.
     """
-    for ck in itertools.chain.from_iterable(kernels):
-        ck.require_usable()
     e, t = len(ends), len(kernels)
     stack = quat_core._aligned_empty((2 * e + max(e, 8 + t), quat_core._SAMPLE_PIECE))
     moments = (0, np.zeros(t), np.zeros(t))
@@ -196,8 +193,7 @@ def _product_integrals(trials, n: int, n_samples: int, seed: int, tag: int) -> l
     """Per trial (K1, K2): (est, stderr, K1(x, z)) for the integral of K1(x, y) K2(y, z) dsigma(y).
 
     Every trial draws its own x and z; the samples y are one stream, keyed
-    [seed, tag], shared by all trials and walked once.  An unusable kernel
-    fails with its message.
+    [seed, tag], shared by all trials and walked once.
     """
     targets, ends = [], []
     for trial, (ck1, ck2) in enumerate(trials):
@@ -249,7 +245,7 @@ def check_orthogonality(bank, n: int, h_max: int, n_samples: int, seed: int) -> 
     h_max + 1 nodes in u and h_max // 2 + n in s integrates it exactly up to
     rounding.  The kernel rows are one call of spectral's kernel-sum engine
     on the point mass at e_1.  An entry fails when it misses by more than
-    1e-12 sqrt(dim_i dim_j).  An unusable kernel fails with its message.
+    1e-12 sqrt(dim_i dim_j).
     Nothing is sampled: n_samples and seed are unused.
     """
     indices = index_range(n, h_max)

@@ -48,3 +48,7 @@ def test_workload_is_correct(workload, trace):
         assert [line for line in proc.stdout.splitlines() if "absent:" in line] == []
         if workload in OWN_COUNTER:
             assert result["metrics"][OWN_COUNTER[workload]]["value"] > 0
+        if workload == "scan":
+            # CalibratedKernel.usable is a constant now, so the unusable count must read 0 from real calls
+            assert result["metrics"]["zonal_kernel.calibrate.calls"]["value"] > 0
+            assert result["metrics"]["zonal_kernel.calibrate.unusable"]["value"] == 0

@@ -1,11 +1,10 @@
 import dataclasses
-import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from quatsphere import calibrate_bank, verification, zonal_kernel
+from quatsphere import CalibratedKernel, calibrate_bank, verification, zonal_kernel
 from quatsphere.spectral import DiscreteMeasure, _projection_matrix, psi
 from quatsphere.verification import _first_spike, _gauss_rule
 
@@ -95,7 +94,10 @@ class TestSharedSamples:
     def test_streamed_sample_set_bounds_memory(self, n):
         # 2e5 samples: at n = 3 the whole sample set alone is 18.3 MiB;
         # streamed in 4096-row pieces the peak is 2.7 MiB at n = 3 and
-        # 3.2 MiB at n = 5, so it does not grow with n
+        # 3.2 MiB at n = 5 after one earlier check in the process, so it
+        # does not grow with n; the first check in a fresh process also
+        # holds its once-per-process allocations and peaks at 3.4 and
+        # 3.9 MiB, 0.08 MiB under the bound at n = 5
         bank = calibrate_bank(n, 6)
         tracemalloc.start()
         try:
@@ -187,14 +189,6 @@ class TestExactGram:
         assert not result.passed
         assert result.detail == f"(7,2): norm {2.25 * dim:.6g} vs dimension {dim}"  # a 125% miss
 
-    def test_unusable_kernel_raises(self, bank8):
-        bank = dict(bank8)
-        bank[(3, 1)] = dataclasses.replace(bank8[(3, 1)], spread=0.5)
-        with pytest.raises(zonal_kernel.UnusableKernelError) as exc:
-            bank[(3, 1)].require_usable()
-        with pytest.raises(zonal_kernel.UnusableKernelError, match=re.escape(str(exc.value))):
-            verification.check_orthogonality(bank, 2, 8, 200_000, 1)
-
 
 class TestIdempotencyDiagonals:
     @staticmethod
@@ -215,12 +209,18 @@ class TestIdempotencyDiagonals:
         dim = bank8[key].index.dimension
         assert result.detail == f"({key[0]},{key[1]}): diagonal {1.5 * bank8[key].diagonal():.6g} vs dimension {dim}"
 
-    def test_unusable_kernel_raises(self, bank8, monkeypatch):
+    def test_zero_constant_is_evaluated_and_rejected(self, bank8, monkeypatch):
+        # a kernel is its index and its constant: c = 0 evaluates to zeros, its drawn product
+        # reproduces its zero K(x, z), and the Gram and diagonal checks both name the index
+        assert [f.name for f in dataclasses.fields(CalibratedKernel)] == ["index", "c"]
         drawn = self.drawn_index(7)
         bank = dict(bank8)
-        bank[drawn] = dataclasses.replace(bank8[drawn], spread=0.5)
+        bank[drawn] = dataclasses.replace(bank8[drawn], c=0.0)
+        label, dim = f"({drawn[0]},{drawn[1]})", bank8[drawn].index.dimension
+        gram = verification.check_orthogonality(bank, 2, 8, 200_000, 1)
+        assert not gram.passed
+        assert gram.detail == f"{label}: norm 0 vs dimension {dim}"
         monkeypatch.setattr(verification, "_PAIRS", 1)
-        with pytest.raises(zonal_kernel.UnusableKernelError) as exc:
-            bank[drawn].require_usable()
-        with pytest.raises(zonal_kernel.UnusableKernelError, match=re.escape(str(exc.value))):
-            verification.check_idempotency(bank, 2, 8, 3000, 7)
+        idem = verification.check_idempotency(bank, 2, 8, 3000, 7)
+        assert not idem.passed
+        assert idem.detail == f"{label}: diagonal 0 vs dimension {dim}"
