@@ -7,7 +7,7 @@ multiplier acting on discrete measures, and numerical dimension estimation
 for example measures.
 """
 
-from .quat_core import AXES, SpherePoint, seeded_rng, sphere_samples, tangent_frame
+from .quat_core import AXES, seeded_rng, sphere_samples, tangent_frame, unit_point
 from .ortho_poly import JacobiParams, cheb_u_scaled, jacobi_eval
 from .zonal_kernel import (
     CalibratedKernel,
@@ -25,7 +25,6 @@ from .diffops import (
     laplace_beltrami_apply,
 )
 from .spectral import (
-    ConeParams,
     DiscreteMeasure,
     MultiplierResult,
     SpectrumEntry,

@@ -43,7 +43,7 @@ from .dimension_lab import (
     gen_uniform,
     theorem_consistency_report,
 )
-from .quat_core import SpherePoint, sphere_samples
+from .quat_core import sphere_samples, unit_point
 from .spectral import DiscreteMeasure, apply_multiplier, spectrum_scan
 from .verification import run_verification
 from .zonal_kernel import calibrate_bank
@@ -155,10 +155,10 @@ def resolve_measure(name: str, cfg: RunConfig) -> DiscreteMeasure:
     if name == "uniform":
         return gen_uniform(cfg.n, cfg.atoms, cfg.seed)
     if name == "point":
-        x0 = SpherePoint(sphere_samples(cfg.n, 1, [cfg.seed, _TAG_FIXTURE])[0])
+        x0 = unit_point(sphere_samples(cfg.n, 1, [cfg.seed, _TAG_FIXTURE])[0])
         return gen_point_mass(x0)
     if name == "sp1-orbit":
-        x0 = SpherePoint(sphere_samples(cfg.n, 1, [cfg.seed, _TAG_FIXTURE])[0])
+        x0 = unit_point(sphere_samples(cfg.n, 1, [cfg.seed, _TAG_FIXTURE])[0])
         return gen_sp1_orbit(x0, cfg.atoms, cfg.seed)
     if name.startswith("subsphere:"):
         try:

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quat_core import AXES, Array, SpherePoint, _apply_axis_flat, geodesic_points, sphere_samples, tangent_frame
+from .quat_core import AXES, Array, _apply_axis_flat, geodesic_points, sphere_samples, tangent_frame
 from .zonal_kernel import CalibratedKernel
 
 PointFunction = Callable[[Array], Array]
@@ -91,7 +91,7 @@ def _error(est: float, true: float) -> float:
 
 def eigencheck(
     ck: CalibratedKernel,
-    x0: SpherePoint,
+    x0: Array,
     probes: int = 8,
     step: float = 1e-2,
     seed: int = 0,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quat_core import Array, SpherePoint, _left_mul_matrix, seeded_rng, sphere_samples
+from .quat_core import Array, _left_mul_matrix, seeded_rng, sphere_samples
 from .spectral import DiscreteMeasure, KernelBank, SpectrumReport, spectrum_scan
 
 _TAG_ORBIT = 41
@@ -34,8 +34,8 @@ _MAX_REFS = 4096
 _N_BINS = 16
 
 
-def gen_point_mass(x0: SpherePoint) -> DiscreteMeasure:
-    return DiscreteMeasure(x0.vec[None, :], np.array([1.0]), name="point")
+def gen_point_mass(x0: Array) -> DiscreteMeasure:
+    return DiscreteMeasure(x0[None, :], np.array([1.0]), name="point")
 
 
 def gen_uniform(n: int, count: int, seed: int) -> DiscreteMeasure:
@@ -57,13 +57,13 @@ def gen_subsphere(n: int, k: int, count: int, seed: int) -> DiscreteMeasure:
     return DiscreteMeasure(pts, np.full(count, 1.0 / count), name=f"subsphere:{k}")
 
 
-def gen_sp1_orbit(x0: SpherePoint, count: int, seed: int) -> DiscreteMeasure:
+def gen_sp1_orbit(x0: Array, count: int, seed: int) -> DiscreteMeasure:
     """Atoms q * x0 for uniform unit quaternions q (a 3-dimensional orbit)."""
     g = seeded_rng(seed, _TAG_ORBIT).standard_normal((count, 4))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     # one batched Hamilton product: a (count, 4, 4) stack of left-multiplication matrices
     mats = _left_mul_matrix(*g.T).transpose(2, 0, 1)
-    pts = (x0.vec.reshape(-1, 4) @ mats.transpose(0, 2, 1)).reshape(count, -1)
+    pts = (x0.reshape(-1, 4) @ mats.transpose(0, 2, 1)).reshape(count, -1)
     return DiscreteMeasure(pts, np.full(count, 1.0 / count), name="sp1-orbit")
 
 
@@ -244,7 +244,7 @@ def correlation_dimension(measure: DiscreteMeasure, seed: int = 0) -> DimensionE
         raise ValueError("measure has no positive mass")
     wn = w / total
 
-    uniform = bool(np.allclose(w, w[0]))
+    uniform = bool(np.all(w == w[0]))
     if m <= _MAX_REFS:
         ref_idx = np.arange(m)
         ref_w = wn

@@ -46,30 +46,19 @@ def _apply_axis_flat(vec: Array, axis: str) -> Array:
     return (shaped @ mat.T).reshape(vec.shape)
 
 
-class SpherePoint:
-    """A point on the unit sphere of H^n; renormalized on construction."""
+def unit_point(v: Array) -> Array:
+    """v flattened and normalized: a point of the unit sphere of H^n as a (4n,) row."""
+    flat = np.asarray(v, dtype=np.float64).reshape(-1)
+    if flat.size % 4 or flat.size < 8:
+        raise ValueError("sphere points live in R^{4n} with n >= 2")
+    nrm = float(np.linalg.norm(flat))
+    if nrm == 0.0:
+        raise ValueError("cannot normalize the zero vector")
+    return flat / nrm
 
-    __slots__ = ("vec",)
 
-    def __init__(self, v: Array):
-        flat = np.asarray(v, dtype=np.float64).reshape(-1)
-        if flat.size % 4 or flat.size < 8:
-            raise ValueError("sphere points live in R^{4n} with n >= 2")
-        nrm = float(np.linalg.norm(flat))
-        if nrm == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        self.vec = flat / nrm
-
-    @property
-    def n(self) -> int:
-        return self.vec.size // 4
-
-    @classmethod
-    def basis(cls, n: int, index: int = 0) -> "SpherePoint":
-        """The point e_{index+1} = (0, ..., 1, ..., 0) with a real unit entry."""
-        v = np.zeros(4 * n)
-        v[4 * index] = 1.0
-        return cls(v)
+# perfbench/workloads.py's x0_point is the one caller; the benchmark change that renames it drops this
+SpherePoint = unit_point
 
 
 def tangent_frame(pts: Array) -> Array:

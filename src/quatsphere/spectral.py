@@ -33,13 +33,9 @@ from .zonal_kernel import CalibratedKernel, _kernel_rungs, index_range
 _TAG_SCAN = 31
 
 
-@dataclass(frozen=True)
-class ConeParams:
-    epsilon: float
-
-    def __post_init__(self):
-        if not 0.0 < self.epsilon < 0.5:
-            raise ValueError(f"epsilon must lie in (0, 1/2), got {self.epsilon}")
+def _require_epsilon(epsilon: float):
+    if not 0.0 < epsilon < 0.5:
+        raise ValueError(f"epsilon must lie in (0, 1/2), got {epsilon}")
 
 
 class DiscreteMeasure:
@@ -109,7 +105,7 @@ def in_cone(h: int, m: int, epsilon: float) -> bool:
     The index (0, 0) is excluded by convention: m/h is undefined there and
     conic statements only concern the region away from the origin.
     """
-    ConeParams(epsilon)
+    _require_epsilon(epsilon)
     if not 2 * m <= h or h < 0 or m < 0:
         raise ValueError(f"(h, m) = ({h}, {m}) is not an admissible index")
     if h == 0:
@@ -137,7 +133,7 @@ def psi(u, v, epsilon: float):
     transition.  Below u = 1 a radial ramp truncates smoothly to 0 (reaching
     0 at u = 1/2), so the origin never sees the cone quotient.
     """
-    ConeParams(epsilon)
+    _require_epsilon(epsilon)
     u_arr = np.asarray(u, dtype=np.float64)
     v_arr = np.asarray(v, dtype=np.float64)
     radial = _smoothstep(2.0 * u_arr - 1.0)
@@ -353,8 +349,6 @@ def spectrum_scan(
 class MultiplierResult:
     values: Array
     last_shell_magnitude: float
-    h_max: int
-    epsilon: float
 
 
 def apply_multiplier(
@@ -382,8 +376,6 @@ def apply_multiplier(
     return MultiplierResult(
         values=total,
         last_shell_magnitude=float(np.max(np.abs(last_shell))) if xs.shape[0] else 0.0,
-        h_max=h_max,
-        epsilon=epsilon,
     )
 
 
@@ -406,8 +398,8 @@ def function_measure(
     ss = np.random.SeedSequence([seed, n, 73])
     pilot_pts = sphere_samples(n, pilot, [seed, n, 74])
     bound = 1.05 * float(np.max(np.abs(f(pilot_pts))))
-    if bound <= 0.0:
-        raise ValueError("cannot materialize the zero function")
+    if not 0.0 < bound < math.inf:
+        raise ValueError(f"f must be finite and not zero on the pilot points, got a bound of {bound}")
 
     chunk = 1 << 15
     rows, signs = [], []

@@ -18,7 +18,7 @@ import numpy as np
 from . import quat_core
 from .diffops import eigencheck, l1_l2_identity
 from .ortho_poly import jacobi_ladder
-from .quat_core import Array, SpherePoint, pair_invariants_matrix, seeded_rng, sphere_sample_chunks, sphere_samples
+from .quat_core import Array, pair_invariants_matrix, seeded_rng, sphere_sample_chunks, sphere_samples, unit_point
 from .spectral import DiscreteMeasure, _projection_matrix, cone_gap_check, psi
 from .zonal_kernel import _kernel_row, index_range
 
@@ -125,7 +125,7 @@ def check_cone_gap(epsilon: float) -> CheckResult:
 def check_eigenvalues(
     bank, n: int, h_max: int, fd_step: float, seed: int
 ) -> CheckResult:
-    x0 = SpherePoint(sphere_samples(n, 1, [seed, 61])[0])
+    x0 = unit_point(sphere_samples(n, 1, [seed, 61])[0])
     worst = ("", 0.0)
     for idx in index_range(n, h_max):
         rep = eigencheck(bank[(idx.h, idx.m)], x0, probes=8, step=fd_step, seed=seed)
@@ -244,8 +244,8 @@ def check_orthogonality(bank, n: int, h_max: int, n_samples: int, seed: int) -> 
     most 2 h_max, a counting 1 and s counting 2, so _gauss_rule with
     h_max + 1 nodes in u and h_max // 2 + n in s integrates it exactly up to
     rounding.  The kernel rows are one call of spectral's kernel-sum engine
-    on the point mass at e_1.  An entry fails when it misses by more than
-    1e-12 sqrt(dim_i dim_j).
+    on the point mass at e_1.  An entry fails unless it is within
+    1e-12 sqrt(dim_i dim_j), so a NaN entry fails too.
     Nothing is sampled: n_samples and seed are unused.
     """
     indices = index_range(n, h_max)
@@ -256,7 +256,7 @@ def check_orthogonality(bank, n: int, h_max: int, n_samples: int, seed: int) -> 
     rows = _projection_matrix(DiscreteMeasure(np.eye(1, 4 * n), np.ones(1)), cks, y)
     gram = (rows * w) @ rows.T
     dims = np.array([ck.index.dimension for ck in cks], dtype=np.float64)
-    miss = np.abs(gram - np.diag(dims)) > 1e-12 * np.sqrt(np.outer(dims, dims))
+    miss = ~(np.abs(gram - np.diag(dims)) <= 1e-12 * np.sqrt(np.outer(dims, dims)))
     failures = []
     for i, j in np.argwhere(np.triu(miss)):
         hm1, hm2 = (f"({ck.index.h},{ck.index.m})" for ck in (cks[i], cks[j]))
@@ -283,12 +283,12 @@ def check_idempotency(bank, n: int, h_max: int, n_samples: int, seed: int) -> Ch
     failures = []
     results = _product_integrals(trials, n, n_samples, seed, _TAG_PRODUCT + 7)
     for (ck, _), (est, stderr, target) in zip(trials, results):
-        if abs(est - target) > 4.0 * stderr + 1e-9 * max(abs(target), 1.0):
+        if not abs(est - target) <= 4.0 * stderr + 1e-9 * max(abs(target), 1.0):
             failures.append(f"({ck.index.h},{ck.index.m}): |{est:.4e} - {target:.4e}| vs 4se {4*stderr:.3e}")
     for idx in indices:
         ck = bank[(idx.h, idx.m)]
         # a kernel's diagonal is its exact dimension, whether or not a product drew it
-        if abs(ck.diagonal() - idx.dimension) > 1e-12 * idx.dimension:
+        if not abs(ck.diagonal() - idx.dimension) <= 1e-12 * idx.dimension:
             failures.append(f"({idx.h},{idx.m}): diagonal {ck.diagonal():.6g} vs dimension {idx.dimension}")
     return CheckResult(
         name="idempotency",

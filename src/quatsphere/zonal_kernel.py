@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ortho_poly import _ladder_buffers, _require_invariants, _require_unit_interval, cheb_ladder, jacobi_ladder
-from .quat_core import Array, SpherePoint, pair_invariants
+from .quat_core import Array, pair_invariants
 
 
 @dataclass(frozen=True)
@@ -160,16 +160,13 @@ class CalibratedKernel:
         a, s = pair_invariants(x_vec, points)
         return self.c * raw_kernel_values(self.index, a, s)
 
-    def __call__(self, x: SpherePoint, y: SpherePoint) -> float:
-        return float(self.values(x.vec, y.vec[None, :])[0])
-
     def diagonal(self) -> float:
         """Value on the diagonal, constant over the sphere: c W_k(1, 1) P_m(1), in closed form."""
         return self.c * _raw_diagonal(self.index)
 
-    def section(self, x0: SpherePoint):
+    def section(self, x0: Array):
         """The function y -> K(x0, y) as a vectorized callable on point arrays."""
-        x_vec = x0.vec.copy()
+        x_vec = x0.copy()
 
         def f(points: Array) -> Array:
             flat = points.reshape(-1, points.shape[-1])

@@ -1,6 +1,6 @@
 import pytest
 
-from quatsphere import SpherePoint, calibrate_bank, sphere_samples
+from quatsphere import calibrate_bank, sphere_samples, unit_point
 
 BANK_N = 2
 BANK_H_MAX = 8
@@ -15,4 +15,4 @@ def bank8():
 
 @pytest.fixture(scope="session")
 def x0():
-    return SpherePoint(sphere_samples(2, 1, [5, 71])[0])
+    return unit_point(sphere_samples(2, 1, [5, 71])[0])

@@ -53,9 +53,9 @@ def flow_points(points, axis, t):
 
 def raw_kernel(idx, x, y):
     """The library's kernel without its constant, W_k P_m, between two sphere points."""
-    if x.n != idx.n or y.n != idx.n:
+    if x.size != 4 * idx.n or y.size != 4 * idx.n:
         raise ValueError("points and kernel index live on different spheres")
-    a, s = pair_invariants(x.vec, y.vec[None, :])
+    a, s = pair_invariants(x, y[None, :])
     return float(raw_kernel_values(idx, a[0], s[0]))
 
 

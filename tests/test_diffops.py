@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from quatsphere import (
-    SpherePoint,
     calibrate_bank,
     eigencheck,
     gamma_apply,
     l1_l2_identity,
     laplace_beltrami_apply,
     sphere_samples,
+    unit_point,
 )
 from quatsphere.diffops import DegenerateProbesError
 from quatsphere.quat_core import _apply_axis_flat
@@ -64,8 +64,8 @@ def per_probe_eigencheck(ck, x0, probes, step, seed):
     pool = sphere_samples(idx.n, 128, [seed, idx.h, idx.m, 21])
     fvals = f(pool)
     chosen = np.flatnonzero(np.abs(fvals) > 0.1 * float(np.max(np.abs(fvals))))[:probes]
-    delta = [per_probe_laplace_beltrami(f, SpherePoint(pool[i]).vec, step) / float(fvals[i]) for i in chosen]
-    gamma = [per_probe_gamma(f, SpherePoint(pool[i]).vec, step) / float(fvals[i]) for i in chosen]
+    delta = [per_probe_laplace_beltrami(f, unit_point(pool[i]), step) / float(fvals[i]) for i in chosen]
+    gamma = [per_probe_gamma(f, unit_point(pool[i]), step) / float(fvals[i]) for i in chosen]
     return float(np.median(delta)), float(np.median(gamma))
 
 
@@ -158,7 +158,7 @@ class TestBatchedStencils:
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_per_probe_oracle(self, bank8, bank_n3, n):
         bank = bank8 if n == 2 else bank_n3
-        x0 = SpherePoint(sphere_samples(n, 1, [3, 61])[0])
+        x0 = unit_point(sphere_samples(n, 1, [3, 61])[0])
         for idx in index_range(n, 6):
             rep = eigencheck(bank[(idx.h, idx.m)], x0, probes=8, step=1e-2, seed=3)
             lam_d, lam_g = per_probe_eigencheck(bank[(idx.h, idx.m)], x0, 8, 1e-2, 3)
@@ -169,7 +169,7 @@ class TestBatchedStencils:
     @pytest.mark.parametrize("n", [2, 3])
     def test_section_evaluated_three_times_per_index(self, bank8, bank_n3, n):
         bank = bank8 if n == 2 else bank_n3
-        x0 = SpherePoint(sphere_samples(n, 1, [3, 61])[0])
+        x0 = unit_point(sphere_samples(n, 1, [3, 61])[0])
         for idx in index_range(n, 6):
             ck, calls = bank[(idx.h, idx.m)], []
 

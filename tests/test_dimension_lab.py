@@ -9,7 +9,6 @@ import pytest
 
 from quatsphere import (
     DiscreteMeasure,
-    SpherePoint,
     correlation_dimension,
     gen_point_mass,
     gen_sp1_orbit,
@@ -26,7 +25,7 @@ from quatsphere.dimension_lab import (
     _nearest_sq_distances,
     _pair_counts,
 )
-from quatsphere.quat_core import seeded_rng, sphere_samples
+from quatsphere.quat_core import seeded_rng, sphere_samples, unit_point
 
 from .oracles import left_mul
 
@@ -47,17 +46,17 @@ class TestGenerators:
         mu = gen_sp1_orbit(x0, 300, seed=3)
         from quatsphere.quat_core import pair_invariants
 
-        _, s = pair_invariants(x0.vec, mu.points)
+        _, s = pair_invariants(x0, mu.points)
         assert np.max(np.abs(s - 1.0)) <= 1e-12
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("seed", [1, 7])
     def test_orbit_matches_per_atom_products(self, n, seed):
         # the batched Hamilton product against one left multiplication per atom
-        x0 = SpherePoint(sphere_samples(n, 1, [seed, 3])[0])
+        x0 = unit_point(sphere_samples(n, 1, [seed, 3])[0])
         g = seeded_rng(seed, _TAG_ORBIT).standard_normal((500, 4))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
-        ref = np.stack([left_mul(x0.vec, row) for row in g])
+        ref = np.stack([left_mul(x0, row) for row in g])
         assert np.array_equal(gen_sp1_orbit(x0, 500, seed).points, DiscreteMeasure(ref, np.ones(500)).points)
 
     def test_uniform_mean_near_zero(self):
@@ -75,13 +74,13 @@ class TestCorrelationDimension:
         assert est.s_hat == 0.0 and est.degenerate
 
     def test_replicated_point_mass(self, x0):
-        pts = np.tile(x0.vec, (500, 1))
+        pts = np.tile(x0, (500, 1))
         est = correlation_dimension(DiscreteMeasure(pts, np.full(500, 1 / 500)))
         assert est.s_hat == 0.0 and est.degenerate
 
     def test_small_sphere_estimate(self):
         # quick sanity at modest sample size; the acceptance suite runs 1e5
-        est = correlation_dimension(gen_sp1_orbit(SpherePoint.basis(2), 20_000, seed=5), seed=1)
+        est = correlation_dimension(gen_sp1_orbit(np.eye(8)[0], 20_000, seed=5), seed=1)
         assert abs(est.s_hat - 3.0) <= 0.4
 
     def test_subsphere_estimate(self):
@@ -95,6 +94,13 @@ class TestCorrelationDimension:
         est2 = correlation_dimension(DiscreteMeasure(mu.points[perm], mu.weights[perm]), seed=2)
         assert est1.s_hat == est2.s_hat
 
+    def test_weight_scale_is_invisible(self, x0):
+        # unequal weights far below 1e-8 still take the weighted path
+        mu = DiscreteMeasure.combine(gen_sp1_orbit(x0, 3000, 1), gen_uniform(2, 3000, 2).scaled(0.05))
+        est = correlation_dimension(mu, seed=1)
+        for scale in (1e-6, 1e-9):
+            assert correlation_dimension(mu.scaled(scale), seed=1).s_hat == pytest.approx(est.s_hat, rel=1e-12)
+
     def test_rejects_signed_measures(self):
         mu = gen_uniform(2, 100, seed=8).scaled(-1.0)
         with pytest.raises(ValueError):
@@ -104,7 +110,7 @@ class TestCorrelationDimension:
         # the criterion 7 fixtures at 10 000 atoms, seed 1, as a walk of every reference row
         # against every atom computes them
         pinned = json.loads((Path(__file__).parent / "data" / "dimension_fixtures_seed1.json").read_text())
-        x0 = SpherePoint(sphere_samples(2, 1, [1, 71])[0])
+        x0 = unit_point(sphere_samples(2, 1, [1, 71])[0])
         fixtures = {
             "uniform": gen_uniform(2, 10_000, 1),
             "sp1-orbit": gen_sp1_orbit(x0, 10_000, 1),

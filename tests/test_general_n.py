@@ -5,11 +5,11 @@ import pytest
 
 from quatsphere import (
     KernelIndex,
-    SpherePoint,
     calibrate,
     eigencheck,
     sphere_samples,
     tangent_frame,
+    unit_point,
 )
 
 
@@ -23,7 +23,7 @@ def bank_n3():
 
 def test_s11_eigenvalues(bank_n3):
     # on S^11 (n=3): lambda_delta = h(h+10), lambda_gamma = (h-2m)(h-2m+2)
-    x0 = SpherePoint(sphere_samples(3, 1, [1])[0])
+    x0 = unit_point(sphere_samples(3, 1, [1])[0])
     rep = eigencheck(bank_n3[(1, 0)], x0, probes=6, seed=2)
     assert abs(rep.lambda_delta_est - 11.0) <= 0.05
     assert abs(rep.lambda_gamma_est - 3.0) <= 0.02
@@ -34,10 +34,10 @@ def test_s11_eigenvalues(bank_n3):
 
 def test_s11_dimensions(bank_n3):
     # degree-1 harmonics on S^11 span R^12; K(x, x) is the dimension at every x
-    pts = [SpherePoint(p) for p in sphere_samples(3, 10, [3])]
+    pts = [unit_point(p) for p in sphere_samples(3, 10, [3])]
     for key, dim in [((1, 0), 12.0), ((2, 1), 14.0)]:
         for x in pts:
-            assert bank_n3[key](x, x) == pytest.approx(dim, rel=1e-12)
+            assert bank_n3[key].values(x, x[None, :])[0] == pytest.approx(dim, rel=1e-12)
 
 
 def test_s11_frame_shape():

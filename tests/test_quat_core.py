@@ -1,10 +1,12 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quatsphere import SpherePoint, quat_core, sphere_samples, tangent_frame
+import quatsphere
+from quatsphere import quat_core, sphere_samples, tangent_frame, unit_point
 from quatsphere.quat_core import (
     _aligned_empty, _left_mul_matrix, geodesic_points, pair_invariants, pair_invariants_matrix, sphere_sample_chunks,
 )
@@ -112,10 +114,10 @@ def test_exp_imag_unit_norm(b, c, d):
 
 
 def test_flow_fixes_time_zero_and_antipode():
-    e1 = SpherePoint.basis(2)
-    assert np.allclose(flow_points(e1.vec, "i", 0.0), e1.vec)
+    e1 = np.eye(8)[0]
+    assert np.allclose(flow_points(e1, "i", 0.0), e1)
     # exp(-i pi) = -1
-    assert np.allclose(flow_points(e1.vec, "i", math.pi), -e1.vec, atol=1e-12)
+    assert np.allclose(flow_points(e1, "i", math.pi), -e1, atol=1e-12)
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from("ijk"), finite, finite)
@@ -140,16 +142,16 @@ def _gram_schmidt(rows):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_tangent_frame(n):
-    y = SpherePoint(sphere_samples(n, 1, [17, n])[0])
-    frame = tangent_frame(y.vec[None])[0]
+    y = unit_point(sphere_samples(n, 1, [17, n])[0])
+    frame = tangent_frame(y[None])[0]
     assert frame.shape == (4 * n - 1, 4 * n)
     gram = frame @ frame.T
     assert np.max(np.abs(gram - np.eye(4 * n - 1))) <= 1e-10
-    assert np.max(np.abs(frame @ y.vec)) <= 1e-10
+    assert np.max(np.abs(frame @ y)) <= 1e-10
     # the first three directions span the same plane as {iy, jy, ky}
     from quatsphere.quat_core import _apply_axis_flat
 
-    oracle = _gram_schmidt([_apply_axis_flat(y.vec, ax) for ax in "ijk"])
+    oracle = _gram_schmidt([_apply_axis_flat(y, ax) for ax in "ijk"])
     p_frame = frame[:3].T @ frame[:3]
     p_oracle = oracle.T @ oracle
     assert np.max(np.abs(p_frame - p_oracle)) <= 1e-10
@@ -173,12 +175,31 @@ def test_tangent_frame_batched(n):
 
 
 def test_geodesic():
-    y = SpherePoint(sphere_samples(2, 1, 23)[0])
-    e = tangent_frame(y.vec[None])[0, 4]
-    start, antipode, inside = geodesic_points(y.vec, e, [0.0, math.pi, 0.71])
-    assert np.allclose(start, y.vec)
-    assert np.allclose(antipode, -y.vec, atol=1e-12)
+    y = unit_point(sphere_samples(2, 1, 23)[0])
+    e = tangent_frame(y[None])[0, 4]
+    start, antipode, inside = geodesic_points(y, e, [0.0, math.pi, 0.71])
+    assert np.allclose(start, y)
+    assert np.allclose(antipode, -y, atol=1e-12)
     assert abs(np.linalg.norm(inside) - 1.0) <= 1e-12
+
+
+def test_unit_point():
+    v = np.arange(1.0, 9.0).reshape(2, 4)
+    assert np.array_equal(unit_point(v), v.reshape(-1) / float(np.linalg.norm(v)))
+    with pytest.raises(ValueError, match="n >= 2"):
+        unit_point(np.ones(4))
+    with pytest.raises(ValueError, match="n >= 2"):
+        unit_point(np.ones(10))
+    with pytest.raises(ValueError, match="zero vector"):
+        unit_point(np.zeros(8))
+
+
+def test_sphere_point_is_only_an_alias_in_quat_core():
+    # perfbench/workloads.py's x0_point still calls quat_core.SpherePoint; no library module may
+    assert quat_core.SpherePoint is quat_core.unit_point
+    assert not hasattr(quatsphere, "SpherePoint") and not hasattr(quatsphere, "ConeParams")
+    src = Path(quatsphere.__file__).parent
+    assert [p.name for p in sorted(src.glob("*.py")) if "SpherePoint" in p.read_text() and p.name != "quat_core.py"] == []
 
 
 class TestSampling:

@@ -8,9 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quatsphere import (
-    ConeParams,
     DiscreteMeasure,
-    SpherePoint,
     apply_multiplier,
     cone_gap_check,
     gen_point_mass,
@@ -20,6 +18,7 @@ from quatsphere import (
     psi,
     spectrum_scan,
     sphere_samples,
+    unit_point,
 )
 from quatsphere import quat_core, spectral
 from quatsphere.quat_core import pair_invariants_matrix
@@ -45,7 +44,7 @@ class TestDiscreteMeasure:
     def test_effective_atoms(self):
         mu = gen_uniform(2, 100, seed=2)
         assert abs(mu.effective_atoms() - 100.0) <= 1e-9
-        pm = gen_point_mass(SpherePoint.basis(2))
+        pm = gen_point_mass(np.eye(8)[0])
         assert pm.effective_atoms() == 1.0
 
     def test_combine_and_scale(self):
@@ -80,10 +79,11 @@ class TestCone:
         assert in_cone(h, m, eps) == (h > 0 and abs(2 * m - h) < 2 * h * eps)
 
     def test_cone_params_validation(self):
-        with pytest.raises(ValueError):
-            ConeParams(0.0)
-        with pytest.raises(ValueError):
-            ConeParams(0.5)
+        for eps in (0.0, 0.5, math.nan):
+            with pytest.raises(ValueError, match="epsilon must lie in"):
+                in_cone(1, 0, eps)
+            with pytest.raises(ValueError, match="epsilon must lie in"):
+                psi(1.0, 0.5, eps)
 
 
 class TestPsi:
@@ -125,35 +125,35 @@ class TestProject:
     def test_point_mass_is_kernel_section(self, bank8, x0):
         ck = bank8[(3, 1)]
         mu = gen_point_mass(x0)
-        x = SpherePoint(sphere_samples(2, 1, 12)[0])
-        assert project_values(mu, ck, x.vec)[0] == pytest.approx(ck(x, x0), abs=1e-12)
+        x = unit_point(sphere_samples(2, 1, 12)[0])
+        assert project_values(mu, ck, x)[0] == pytest.approx(ck.values(x, x0[None, :])[0], abs=1e-12)
 
     def test_constant_component_of_point_mass(self, bank8, x0):
-        assert project_values(gen_point_mass(x0), bank8[(0, 0)], x0.vec)[0] == pytest.approx(1.0, rel=2e-2)
+        assert project_values(gen_point_mass(x0), bank8[(0, 0)], x0)[0] == pytest.approx(1.0, rel=2e-2)
 
     def test_uniform_atoms_have_small_projections(self, bank8):
         mu = gen_uniform(2, 20_000, seed=6)
-        x = SpherePoint(sphere_samples(2, 1, 13)[0])
+        x = unit_point(sphere_samples(2, 1, 13)[0])
         for hm in [(1, 0), (2, 1), (4, 2)]:
             ck = bank8[hm]
             bound = 4.0 * math.sqrt(ck.diagonal() * mu.sum_sq_weight())
-            assert abs(project_values(mu, ck, x.vec)[0]) <= bound
+            assert abs(project_values(mu, ck, x)[0]) <= bound
 
     def test_linearity(self, bank8, x0):
         ck = bank8[(2, 1)]
         a = gen_uniform(2, 50, seed=7)
         b = gen_uniform(2, 80, seed=8)
-        x = SpherePoint(sphere_samples(2, 1, 14)[0])
+        x = unit_point(sphere_samples(2, 1, 14)[0])
         combo = DiscreteMeasure.combine(a.scaled(1.7), b.scaled(-0.3))
-        lhs = project_values(combo, ck, x.vec)[0]
-        rhs = 1.7 * project_values(a, ck, x.vec)[0] - 0.3 * project_values(b, ck, x.vec)[0]
+        lhs = project_values(combo, ck, x)[0]
+        rhs = 1.7 * project_values(a, ck, x)[0] - 0.3 * project_values(b, ck, x)[0]
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
     def test_project_values_blocks_match(self, bank8):
         mu = gen_uniform(2, 1000, seed=9)
         xs = sphere_samples(2, 7, 15)
         vals = project_values(mu, bank8[(4, 1)], xs)
-        singles = [project_values(mu, bank8[(4, 1)], SpherePoint(x).vec)[0] for x in xs]
+        singles = [project_values(mu, bank8[(4, 1)], unit_point(x))[0] for x in xs]
         assert np.allclose(vals, singles, atol=1e-12)
 
 
@@ -174,7 +174,7 @@ class TestSpectrumScan:
     def test_section_measure_concentrates(self, bank8, x0):
         ck = bank8[(3, 1)]
         ys = sphere_samples(2, 40_000, [77])
-        mu = DiscreteMeasure(ys, ck.values(x0.vec, ys) / 40_000, name="section")
+        mu = DiscreteMeasure(ys, ck.values(x0, ys) / 40_000, name="section")
         scan = spectrum_scan(mu, bank8, 6, 0.1, probes=384, seed=3)
         assert [(e.h, e.m) for e in scan.flagged()] == [(3, 1)]
         assert scan.entry(3, 1).norm_sq_corrected == pytest.approx(ck.diagonal(), rel=0.1)
@@ -287,7 +287,7 @@ class TestMultiplier:
 
         ck40 = bank8[(4, 0)]
         ys = sphere_samples(2, 30_000, [19])
-        addon = DiscreteMeasure(ys, ck40.values(x0.vec, ys) / 30_000, name="(4,0) bump")
+        addon = DiscreteMeasure(ys, ck40.values(x0, ys) / 30_000, name="(4,0) bump")
         mixed = DiscreteMeasure.combine(mu, addon)
         out = apply_multiplier(mixed, bank8, eps, 6, xs)
 
@@ -355,12 +355,21 @@ class TestFunctionMeasure:
         # total signed mass approximates <f, 1> = 0; L1 mass is positive
         assert abs(mu.total_weight()) <= 0.05 * np.sum(np.abs(mu.weights))
         # its (2, 1) projection at x0 approximates ||K(x0,.)||^2 = diag
-        val = project_values(mu, ck, x0.vec)[0]
+        val = project_values(mu, ck, x0)[0]
         assert val == pytest.approx(ck.diagonal(), rel=0.05)
 
     def test_rejects_zero_function(self):
         with pytest.raises(ValueError):
             function_measure(lambda pts: np.zeros(pts.shape[:-1]), 2, 100, seed=1)
+
+    @pytest.mark.parametrize("f", [
+        lambda pts: np.full(pts.shape[:-1], np.nan),
+        lambda pts: np.where(pts[:, 0] > 0.0, np.inf, 1.0),
+    ], ids=["nan", "inf-on-some-pilot-points"])
+    def test_rejects_non_finite_function_at_once(self, f):
+        # the pilot bound is not finite, so no substream is drawn
+        with pytest.raises(ValueError, match="finite"):
+            function_measure(f, 2, 100, seed=1)
 
 
 class TestConeGap:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -209,18 +210,22 @@ class TestIdempotencyDiagonals:
         dim = bank8[key].index.dimension
         assert result.detail == f"({key[0]},{key[1]}): diagonal {1.5 * bank8[key].diagonal():.6g} vs dimension {dim}"
 
-    def test_zero_constant_is_evaluated_and_rejected(self, bank8, monkeypatch):
+    @pytest.mark.parametrize("c", [0.0, math.nan, math.inf])
+    def test_zero_constant_is_evaluated_and_rejected(self, bank8, monkeypatch, c):
         # a kernel is its index and its constant: c = 0 evaluates to zeros, its drawn product
-        # reproduces its zero K(x, z), and the Gram and diagonal checks both name the index
+        # reproduces its zero K(x, z), and the Gram and diagonal checks both name the index;
+        # a NaN or infinite constant fails both too, since every comparison is "not within"
         assert [f.name for f in dataclasses.fields(CalibratedKernel)] == ["index", "c"]
         drawn = self.drawn_index(7)
         bank = dict(bank8)
-        bank[drawn] = dataclasses.replace(bank8[drawn], c=0.0)
+        bank[drawn] = dataclasses.replace(bank8[drawn], c=c)
         label, dim = f"({drawn[0]},{drawn[1]})", bank8[drawn].index.dimension
-        gram = verification.check_orthogonality(bank, 2, 8, 200_000, 1)
-        assert not gram.passed
-        assert gram.detail == f"{label}: norm 0 vs dimension {dim}"
-        monkeypatch.setattr(verification, "_PAIRS", 1)
-        idem = verification.check_idempotency(bank, 2, 8, 3000, 7)
-        assert not idem.passed
-        assert idem.detail == f"{label}: diagonal 0 vs dimension {dim}"
+        with np.errstate(invalid="ignore"):
+            gram = verification.check_orthogonality(bank, 2, 8, 200_000, 1)
+            monkeypatch.setattr(verification, "_PAIRS", 1)
+            idem = verification.check_idempotency(bank, 2, 8, 3000, 7)
+        assert not gram.passed and label in gram.detail
+        assert not idem.passed and label in idem.detail
+        if c == 0.0:
+            assert gram.detail == f"{label}: norm 0 vs dimension {dim}"
+            assert idem.detail == f"{label}: diagonal 0 vs dimension {dim}"
