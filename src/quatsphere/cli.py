@@ -69,7 +69,7 @@ class RunConfig:
     output_path: str = ""
 
     def __post_init__(self):
-        for name, least in (("n", 2), ("h_max", 0), ("mc_samples", 1), ("probes", 1), ("seed", 0), ("atoms", 1)):
+        for name, least in (("n", 2), ("h_max", 0), ("mc_samples", 2), ("probes", 1), ("seed", 0), ("atoms", 1)):
             if getattr(self, name) < least:
                 words = {0: "non-negative", 1: "positive"}.get(least, f"at least {least}")
                 raise UsageError(f"{name} must be {words}, got {getattr(self, name)}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quat_core import Array, _left_mul_matrix, seeded_rng, sphere_samples
+from .quat_core import Array, _aligned_empty, _left_mul_matrix, seeded_rng, sphere_samples
 from .spectral import DiscreteMeasure, KernelBank, SpectrumReport, spectrum_scan
 
 _TAG_ORBIT = 41
@@ -113,7 +113,8 @@ def _gram_tiles(x: Array, y: Array, upper: bool = False):
     y = np.concatenate([y, np.zeros((-m % _LANE, y.shape[1]))]) if m % _LANE else y
     cols = max(_LANE, _DISTANCE_TILE // _LANE * _LANE)
     rows = max(_LANE, _DISTANCE_BLOCK // cols // _LANE * _LANE)
-    buf = np.empty((rows + _LANE) * cols)
+    # on a cache-line boundary: 16 to 48 bytes past one, the tiles' GEMMs ran about 7% slower
+    buf = _aligned_empty(((rows + _LANE) * cols,))
     for r0, r1 in _spans(0, len(x), rows):
         x2 = 2.0 * x[r0:r1]  # exact doubling: G's rounding is kept, and (2a).b == (2b).a bit for bit
         for c0, c1 in _spans(r0 if upper else 0, len(y), cols):

@@ -143,7 +143,8 @@ def sphere_sample_chunks(n: int, count: int, seed: int | Sequence[int], out: Arr
                 # standard_normal fills in order, so the pieces of a substream
                 # are the rows of one draw of the whole substream
                 rng.standard_normal(out=g)
-                g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
+                # np.linalg.norm's own sum of squares, without the copy its conj() makes
+                g /= np.maximum(np.sqrt(np.add.reduce(g * g, axis=1, keepdims=True)), 1e-300)
                 yield g
 
     return pieces()

@@ -163,26 +163,35 @@ def _product_moments(kernels, ends: Array, pieces) -> tuple[Array, Array]:
     and 2t + 1 of ends.  Each piece of at most quat_core._SAMPLE_PIECE rows
     (such as those of sphere_sample_chunks) is one block: one GEMM call
     gives the invariants of every endpoint, one contiguous row per
-    endpoint; then each trial's two kernel rows walk the ladders.  All of it
-    runs in one buffer stack: a, s, and a scratch region that holds
-    pair_invariants_matrix's third buffer, then zonal_kernel._kernel_row's
-    eight buffers (the first holding ones; the second kernel row goes into
-    their scratch) and the trial products.
+    endpoint; then the ladders are walked once per trial whose two kernels
+    are equal, on its two endpoint rows as one (2, w) block, and once per
+    endpoint row otherwise.  Each kernel row is written over the s row it
+    was walked from, and trial t's product over row t of a, which belongs
+    to a trial already walked.  All of it runs in one buffer stack: a, s,
+    and a scratch region that holds pair_invariants_matrix's third buffer,
+    then zonal_kernel._kernel_row's eight buffers of two rows each (the
+    first holding ones).
     """
     e, t = len(ends), len(kernels)
-    stack = quat_core._aligned_empty((2 * e + max(e, 8 + t), quat_core._SAMPLE_PIECE))
+    stack = quat_core._aligned_empty((2 * e + max(e, 16), quat_core._SAMPLE_PIECE))
     moments = (0, np.zeros(t), np.zeros(t))
     for ys in pieces:
         w = len(ys)
         a, s, c = (stack[lo : lo + e].reshape(-1)[: e * w].reshape(e, w) for lo in (0, e, 2 * e))
         pair_invariants_matrix(ends, ys, out=[a, s, c])
-        bufs, prods = stack[2 * e : 2 * e + 8, :w], stack[2 * e + 8 : 2 * e + 8 + t, :w]
+        pair_bufs = [stack[lo : lo + 2].reshape(-1)[: 2 * w].reshape(2, w) for lo in range(2 * e, 2 * e + 16, 2)]
         # the ones share rows with c, which the GEMM call overwrites
-        bufs[0].fill(1.0)
+        pair_bufs[0].fill(1.0)
+        row_bufs = [b[0] for b in pair_bufs]
         for i, (ck1, ck2) in enumerate(kernels):
-            _kernel_row(ck1.index, a[2 * i], s[2 * i], ck1.c, bufs, prods[i])
-            prods[i] *= _kernel_row(ck2.index, a[2 * i + 1], s[2 * i + 1], ck2.c, bufs, bufs[4])
-        moments = _merge_moments(moments, prods)
+            if ck1 == ck2:
+                pair = slice(2 * i, 2 * i + 2)
+                _kernel_row(ck1.index, a[pair], s[pair], ck1.c, pair_bufs, s[pair])
+            else:
+                for row, ck in ((2 * i, ck1), (2 * i + 1, ck2)):
+                    _kernel_row(ck.index, a[row], s[row], ck.c, row_bufs, s[row])
+            np.multiply(s[2 * i], s[2 * i + 1], out=a[i])
+        moments = _merge_moments(moments, a[:t])
     count, mean, m2 = moments
     if count < 2:
         raise ValueError(f"a Monte Carlo product needs at least 2 samples, got {count}")

@@ -98,21 +98,27 @@ def _raw_diagonal(idx: KernelIndex) -> int:
 def _kernel_rungs(n: int, a: Array, s: Array, wanted, bufs):
     """Yield (k, m, W_k(a, s), P_m^{(2n-3, k+1)}(2s - 1)) for each m in wanted[k], by ascending k, then m.
 
-    The Chebyshev ladder is walked once, and one Jacobi ladder per needed k
-    on 2s - 1 clipped to [-1, 1].  bufs are eight float64 arrays of a's
-    shape: bufs[0] holds ones, filled by the caller and shared as W_0 and
-    P_0; bufs[1] receives 2a (it may be a itself); bufs[2:4] take the
-    Chebyshev rungs, bufs[4] is the ladders' scratch, bufs[5] takes 2s - 1
-    and bufs[6:8] the Jacobi rungs.  All but bufs[0] are overwritten.  A
+    The Chebyshev ladder is walked once, and one Jacobi ladder per k that
+    needs some m >= 1, on 2s - 1 clipped to [-1, 1]; P_0 is the shared ones,
+    so with no wanted m >= 1, 2s - 1 is never computed.  bufs are eight
+    float64 arrays of a's shape: bufs[0] holds ones, filled by the caller
+    and shared as W_0 and P_0; bufs[1] receives 2a (it may be a itself);
+    bufs[2:4] take the Chebyshev rungs, bufs[4] is the ladders' scratch,
+    bufs[5] takes 2s - 1 and bufs[6:8] the Jacobi rungs.  All but bufs[0]
+    may be overwritten.  A
     yielded pair of rungs is valid only until the walk advances, and the
     caller must not write into it; the scratch is written only while the
     walk advances, so the caller may use it between rungs.
     """
-    x = np.subtract(np.multiply(s, 2.0, out=bufs[5]), 1.0, out=bufs[5])
-    np.clip(x, -1.0, 1.0, out=x)
+    x = bufs[5]
+    if any(max(degrees) > 0 for degrees in wanted.values()):
+        np.clip(np.subtract(np.multiply(s, 2.0, out=x), 1.0, out=x), -1.0, 1.0, out=x)
     for k, w in zip(range(max(wanted) + 1), cheb_ladder(a, s, out=bufs[:5])):
         if k in wanted:
             degrees = wanted[k]
+            if max(degrees) == 0:
+                yield k, 0, w, bufs[0]
+                continue
             jacobi_bufs = [bufs[0], bufs[6], bufs[7], bufs[4]]
             for m, p in zip(range(max(degrees) + 1), jacobi_ladder(2 * n - 3, k + 1, x, out=jacobi_bufs)):
                 if m in degrees:
@@ -123,10 +129,13 @@ def _kernel_row(idx: KernelIndex, a: Array, s: Array, scale: float, bufs, out: A
     """(scale * W_k) * P_m from invariants taken as they are, by _kernel_rungs, written into out.
 
     bufs are _kernel_rungs' eight buffers, with bufs[0] holding ones.  The
-    walk stops at its one rung, so out may be its scratch, bufs[4].
+    walk stops at its one rung, having read a and s for the last time, so
+    out may be its scratch, bufs[4], or the s it reads.
     """
     _, _, w, p = next(_kernel_rungs(idx.n, a, s, {idx.k: (idx.m,)}, bufs))
-    return np.multiply(np.multiply(w, scale, out=out), p, out=out)
+    np.multiply(w, scale, out=out)
+    # P_0 is exactly 1.0, and multiplying by it changes no bit
+    return out if idx.m == 0 else np.multiply(out, p, out=out)
 
 
 def raw_kernel_values(idx: KernelIndex, a, s):

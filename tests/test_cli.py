@@ -76,7 +76,7 @@ class TestRunConfig:
         for field, value, message in (
             ("h_max", -1, "h_max must be non-negative, got -1"),
             ("seed", -1, "seed must be non-negative, got -1"),
-            ("mc_samples", 0, "mc_samples must be positive, got 0"),
+            ("mc_samples", 1, "mc_samples must be at least 2, got 1"),
             ("atoms", 0, "atoms must be positive, got 0"),
             ("n", 1, "n must be at least 2, got 1"),
         ):
@@ -324,11 +324,13 @@ class TestCommands:
         blob = json.loads((tmp_path / "mult.json").read_text())
         assert "last_shell_magnitude" in blob and len(blob["values"]) == 64
 
-    def test_invalid_parameter_is_usage_error(self, tmp_path, capsys):
-        # a ValueError from the library: one Monte Carlo sample has no variance
+    def test_invalid_parameter_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # one Monte Carlo sample has no variance, and the run says so before any check starts
+        monkeypatch.setattr(verification, "check_l1_l2", lambda: pytest.fail("a check ran"))
         rc = main(["verify", "--n", "2", "--h-max", "1", "--mc-samples", "1", "--out", str(tmp_path / "v.json")])
         assert rc == 2
-        assert capsys.readouterr().err == "error: a Monte Carlo product needs at least 2 samples, got 1\n"
+        assert capsys.readouterr().err == "error: mc_samples must be at least 2, got 1\n"
+        assert not (tmp_path / "v.json").exists()
 
     def test_calibrate_gives_exact_dimensions(self):
         # the Monte Carlo fit this replaced could not fit (6, 0) at 1e4 samples

@@ -219,14 +219,15 @@ class TestSampling:
 
     def test_in_place_fill_matches_two_step_reference(self):
         # three chunks, the last one ragged: each chunk is a fresh Gaussian
-        # draw divided by its row norms
+        # draw divided by its row norms, with the bits of np.linalg.norm's
         count = 2 * (1 << 16) + 5
-        ref = np.empty((count, 8))
-        for ci, child in enumerate(np.random.SeedSequence([9]).spawn(3)):
-            lo, hi = ci << 16, min((ci + 1) << 16, count)
-            g = np.random.default_rng(child).standard_normal((hi - lo, 8))
-            ref[lo:hi] = g / np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
-        assert np.array_equal(sphere_samples(2, count, 9), ref)
+        for n in (2, 3, 4, 5):
+            ref = np.empty((count, 4 * n))
+            for ci, child in enumerate(np.random.SeedSequence([9]).spawn(3)):
+                lo, hi = ci << 16, min((ci + 1) << 16, count)
+                g = np.random.default_rng(child).standard_normal((hi - lo, 4 * n))
+                ref[lo:hi] = g / np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
+            assert sphere_samples(n, count, 9).tobytes() == ref.tobytes(), n
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("count", [1, 1000, 1 << 16, 2 * (1 << 16) + 5])

@@ -29,6 +29,7 @@ from quatsphere.quat_core import pair_invariants_matrix, sphere_sample_chunks
 from quatsphere.verification import _TAG_PRODUCT, _merge_moments, _product_integrals, _product_moments
 from quatsphere.zonal_kernel import raw_kernel_values
 
+from .counting import CountingNumpy
 from .oracles import chunked_product_moments, paper_raw_kernel, raw_kernel, three_buffer_kernel_rungs
 
 
@@ -312,6 +313,25 @@ class TestBlockedSamplePath:
         assert mean.tobytes() == ref_mean.tobytes()
         assert stderr.tobytes() == ref_stderr.tobytes()
 
+    @pytest.mark.parametrize("count", [2 * (1 << 16) + 5, 3 * 4096 + 1001], ids=["5-row substream", "ragged piece"])
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            [((3, 1),) * 2, ((5, 2),) * 2, ((3, 1),) * 2, ((2, 1),) * 2],
+            [((0, 0),) * 2, ((1, 0),) * 2, ((4, 0),) * 2, ((0, 0), (1, 0)), ((7, 0), (4, 0))],
+            [((3, 1),) * 2, ((3, 1), (2, 1)), ((0, 0),) * 2, ((4, 2), (1, 0)), ((6, 1),) * 2, ((8, 4), (8, 0))],
+        ],
+        ids=["equal, one index repeated", "P_0 only", "equal and distinct"],
+    )
+    def test_pair_walks_match_the_chunk_then_block_walk(self, bank8, keys, count):
+        # a trial of two equal kernels walks its endpoint rows as one block, with the bits of one walk per row
+        kernels = [(bank8[k1], bank8[k2]) for k1, k2 in keys]
+        ends = sphere_samples(2, 2 * len(kernels), 8)
+        mean, stderr = _product_moments(kernels, ends, sphere_sample_chunks(2, count, 9))
+        ref_mean, ref_stderr = chunked_product_moments(kernels, ends, sphere_samples(2, count, 9))
+        assert mean.tobytes() == ref_mean.tobytes()
+        assert stderr.tobytes() == ref_stderr.tobytes()
+
     def test_pass_skips_the_checked_evaluators(self, bank8, monkeypatch):
         # the pass walks the ladders on invariants it computed from unit vectors, with no domain re-check
         checked = {zonal_kernel.raw_kernel_values, ortho_poly.cheb_u_scaled, ortho_poly.jacobi_eval}
@@ -390,7 +410,7 @@ class TestOneWalk:
             assert module.__name__ in walks and len(chebs) == len(walks), name
 
 
-    @pytest.mark.parametrize("case", ["random", "s = 0", "a = 0", "s rounded above 1", "ragged block"])
+    @pytest.mark.parametrize("case", ["random", "s = 0", "a = 0", "s rounded above 1", "ragged block", "P_0 only"])
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_walk_has_the_bits_of_the_three_buffer_ladders(self, n, case):
         # the shared ones, the kept 2a, s W_0 = s, c4 P_0 = c4 and P_1's halving moved onto its constants
@@ -410,13 +430,16 @@ class TestOneWalk:
         stack[0] = 1.0
         bufs = [b[: s.size].reshape(s.shape) for b in stack]
         bufs[1][...] = a
-        wanted = {k: range(33) for k in range(33)}
+        bufs[5].fill(np.nan)
+        wanted = {k: (0,) if case == "P_0 only" else range(33) for k in range(33)}
         walk = zonal_kernel._kernel_rungs(n, bufs[1], s, wanted, bufs)
         for got, want in itertools.zip_longest(walk, three_buffer_kernel_rungs(n, a, s, wanted)):
             assert got[:2] == want[:2]
             assert got[2].tobytes() == want[2].tobytes(), want[:2]
             assert got[3].tobytes() == want[3].tobytes(), want[:2]
             bufs[4].fill(np.nan)
+        # P_0 is the shared ones, so a walk with no wanted m >= 1 never writes 2s - 1
+        assert np.isnan(bufs[5]).all() == (case == "P_0 only")
 
     def test_walk_pass_budget(self, monkeypatch):
         # one walk of the 25 indices with h <= 8 at n = 2 makes at most 87 array calls (numpy calls and
@@ -428,22 +451,41 @@ class TestOneWalk:
                 calls.append("fill")
                 super().fill(value)
 
-        class CountingNumpy:
-            def __getattr__(self, name):
-                attr = getattr(np, name)
-                if not callable(attr) or isinstance(attr, type):
-                    return attr
-                return lambda *args, **kw: calls.append(name) or attr(*args, **kw)
-
         a, s = pair_invariants_matrix(sphere_samples(2, 16, 1), sphere_samples(2, 40, 2))
         bufs = [np.ones(a.shape).view(Counted)] + [np.empty(a.shape).view(Counted) for _ in range(7)]
         wanted = {}
         for idx in index_range(2, 8):
             wanted.setdefault(idx.k, []).append(idx.m)
         for module in (ortho_poly, zonal_kernel):
-            monkeypatch.setattr(module, "np", CountingNumpy())
+            monkeypatch.setattr(module, "np", CountingNumpy(calls))
         assert sum(1 for _ in zonal_kernel._kernel_rungs(2, a, s, wanted, bufs)) == 25
         assert len(calls) <= 87, len(calls)
+
+    def test_product_pass_budget(self, bank8, monkeypatch):
+        # check_idempotency at n = 2, seed 1 pairs each of its ten kernels with itself, so each trial walks
+        # its two endpoint rows as one block.  In a piece after the first, the pass makes at most 96 numpy
+        # calls (202 when each endpoint row walked alone) and drawing the piece at most 3 (2 through
+        # np.linalg.norm, which hid its own passes, its conj() copy among them, in one call)
+        calls, marks = [], []
+        chunks = verification.sphere_sample_chunks
+
+        def marked(*args):
+            pieces = chunks(*args)
+            yield next(pieces)
+            marks.append(len(calls))
+            piece = next(pieces)
+            marks.append(len(calls))
+            yield piece
+            marks.append(len(calls))
+            yield from pieces
+
+        monkeypatch.setattr(verification, "sphere_sample_chunks", marked)
+        for module in (ortho_poly, zonal_kernel, verification, quat_core):
+            monkeypatch.setattr(module, "np", CountingNumpy(calls))
+        verification.check_idempotency(bank8, 2, 6, 3 * quat_core._SAMPLE_PIECE, 1)
+        draw, product_pass = marks[1] - marks[0], marks[2] - marks[1]
+        assert draw <= 3, calls[marks[0] : marks[1]]
+        assert product_pass <= 96, product_pass
 
     def test_scan_evaluates_no_pointwise_kernel(self, bank8, monkeypatch):
         # a scan's floors take the diagonal in closed form, not from raw_kernel_values at (1, 1)
