@@ -108,17 +108,63 @@ def seeded_rng(*keys: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(list(keys)))
 
 
+def _column_sums(panel: Array) -> Array:
+    """Sums of a (d, rows) panel down its columns, d >= 8, with the bits of np.add.reduce along a row of d.
+
+    numpy sums a contiguous row pairwise: up to 128 values in eight
+    interleaved accumulators, combined as a tree, then the remainder in
+    order; a longer row as the sum of two halves, the first a multiple of 8
+    long.  Here each step is one array pass over the columns, written into
+    the panel's leading rows.  Returns panel[0].
+    """
+    d = len(panel)
+    if d > 128:
+        half = d // 2 - d // 2 % 8
+        _column_sums(panel[:half])
+        return np.add(panel[0], _column_sums(panel[half:]), out=panel[0])
+    tail = d - d % 8
+    for i in range(8, tail, 8):
+        np.add(panel[:8], panel[i : i + 8], out=panel[:8])
+    np.add(panel[0:8:2], panel[1:8:2], out=panel[0:8:2])
+    np.add(panel[0:8:4], panel[2:8:4], out=panel[0:8:4])
+    np.add(panel[0], panel[4], out=panel[0])
+    for i in range(tail, d):
+        np.add(panel[0], panel[i], out=panel[0])
+    return panel[0]
+
+
+def _row_norms(g: Array, panel: Array) -> Array:
+    """The Euclidean norms of the rows of g, floored at 1e-300, as panel[0].
+
+    The sums of squares have the bits of np.linalg.norm's, but each step is
+    an array pass over all rows (_column_sums), not one short reduction per
+    row.  `panel` is C-contiguous (g.shape[1], len(g)) scratch.
+    """
+    np.multiply(g.T, g.T, out=panel)
+    nrm = np.sqrt(_column_sums(panel), out=panel[0])
+    return np.maximum(nrm, 1e-300, out=nrm)
+
+
 def sphere_sample_chunks(n: int, count: int, seed: int | Sequence[int], out: Array | None = None):
     """Iterator over the rows of sphere_samples(n, count, seed), one piece at a time.
 
     Uniformity comes from normalizing 4n-dimensional Gaussians.  Each
     _SAMPLE_SUBSTREAM rows come from an independently spawned substream,
     drawn in order in pieces of at most _SAMPLE_PIECE rows; no piece
-    crosses a substream boundary.  Each piece is written into one reused
-    buffer, so a yielded piece is valid only until the iterator advances;
-    with `out` (a (count, 4n) float64 array) each piece goes into its own
-    rows of `out` instead.  The seed is an integer (anything operator.index
-    accepts) or a sequence of them.  The arguments are checked on the call.
+    crosses a substream boundary.  The seed is an integer (anything
+    operator.index accepts) or a sequence of them.  The arguments are
+    checked on the call.
+
+    Without `out`, each piece is a (rows, 4n) view whose transpose is a
+    C-contiguous (4n, rows) panel, so a GEMM against the samples reads one
+    contiguous operand.  The panels share one reused buffer, so a yielded
+    piece is valid only until the iterator advances.  The layout is part of
+    the bits of a product against the piece: OpenBLAS rounds some ragged
+    widths differently by operand layout (a (20x8)(8x341) product of
+    normals differed in 39 of its 6820 entries between the panel and the
+    transposed rows; the 4096-row pieces agreed).
+    With `out` (a (count, 4n) float64 array) each piece is written into its
+    own rows of `out` instead.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -131,7 +177,8 @@ def sphere_sample_chunks(n: int, count: int, seed: int | Sequence[int], out: Arr
     if any(k < 0 for k in keys):
         raise ValueError("seed keys must be non-negative")
     children = np.random.SeedSequence(keys).spawn((count + _SAMPLE_SUBSTREAM - 1) // _SAMPLE_SUBSTREAM)
-    buf = np.empty((min(count, _SAMPLE_PIECE), 4 * n)) if out is None else None
+    dim = 4 * n
+    panels = np.empty(dim * min(count, _SAMPLE_PIECE))
 
     def pieces():
         for ci, child in enumerate(children):
@@ -139,13 +186,21 @@ def sphere_sample_chunks(n: int, count: int, seed: int | Sequence[int], out: Arr
             end = min((ci + 1) * _SAMPLE_SUBSTREAM, count)
             for lo in range(ci * _SAMPLE_SUBSTREAM, end, _SAMPLE_PIECE):
                 rows = min(_SAMPLE_PIECE, end - lo)
-                g = buf[:rows] if out is None else out[lo : lo + rows]
+                panel = panels[: dim * rows].reshape(dim, rows)
                 # standard_normal fills in order, so the pieces of a substream
                 # are the rows of one draw of the whole substream
-                rng.standard_normal(out=g)
-                # np.linalg.norm's own sum of squares, without the copy its conj() makes
-                g /= np.maximum(np.sqrt(np.add.reduce(g * g, axis=1, keepdims=True)), 1e-300)
-                yield g
+                if out is None:
+                    g = rng.standard_normal((rows, dim))
+                    nrm = _row_norms(g, panel)
+                    # the norms are the panel's first row, so it is divided last
+                    np.divide(g.T[1:], nrm, out=panel[1:])
+                    np.divide(g.T[0], nrm, out=nrm)
+                    # the draw is freed before the piece is used
+                    del g
+                    yield panel.T
+                else:
+                    g = rng.standard_normal(out=out[lo : lo + rows])
+                    yield np.divide(g, _row_norms(g, panel)[:, None], out=g)
 
     return pieces()
 

@@ -411,7 +411,7 @@ def function_measure(
         except StopIteration:
             raise RuntimeError("rejection sampling failed to accept enough atoms") from None
         g = rng.standard_normal((chunk, 4 * n))
-        g /= np.sqrt(np.add.reduce(g * g, axis=1, keepdims=True))
+        g /= quat_core._row_norms(g, np.empty((4 * n, chunk)))[:, None]
         vals = f(g)
         u = rng.random(chunk)
         # acceptance probability clipped at 1; values above the pilot bound

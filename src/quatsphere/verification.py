@@ -161,11 +161,11 @@ def _product_moments(kernels, ends: Array, pieces) -> tuple[Array, Array]:
 
     Trial t takes its kernels (K1, K2) from kernels[t] and x, z from rows 2t
     and 2t + 1 of ends.  Each piece of at most quat_core._SAMPLE_PIECE rows
-    (such as those of sphere_sample_chunks) is one block: one GEMM call
-    gives the invariants of every endpoint, one contiguous row per
-    endpoint; then the ladders are walked once per trial whose two kernels
-    are equal, on its two endpoint rows as one (2, w) block, and once per
-    endpoint row otherwise.  Each kernel row is written over the s row it
+    (such as those of sphere_sample_chunks, whose transposes are contiguous
+    panels) is one block: one GEMM call gives the invariants of every
+    endpoint, one contiguous row per endpoint; then the ladders are walked
+    once per trial whose two kernels are equal, on its two endpoint rows as
+    one (2, w) block, and once per endpoint row otherwise.  Each kernel row is written over the s row it
     was walked from, and trial t's product over row t of a, which belongs
     to a trial already walked.  All of it runs in one buffer stack: a, s,
     and a scratch region that holds pair_invariants_matrix's third buffer,

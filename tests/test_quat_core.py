@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 import quatsphere
 from quatsphere import quat_core, sphere_samples, tangent_frame, unit_point
 from quatsphere.quat_core import (
-    _aligned_empty, _left_mul_matrix, geodesic_points, pair_invariants, pair_invariants_matrix, sphere_sample_chunks,
+    _aligned_empty, _column_sums, _left_mul_matrix, geodesic_points, pair_invariants, pair_invariants_matrix,
+    sphere_sample_chunks,
 )
 
 from .oracles import conj, exp_imag, flow_points, inner
@@ -245,12 +246,14 @@ class TestSampling:
         """(start, stop) rows of each piece sphere_sample_chunks yields, and the rows themselves."""
         bounds, rows, lo = [], [], 0
         for piece in sphere_sample_chunks(n, count, seed):
+            # column-major: the product pass's GEMMs read the transpose as one contiguous panel
+            assert piece.shape == (len(piece), 4 * n) and piece.T.flags.c_contiguous
             bounds.append((lo, lo + len(piece)))
             rows.append(piece.copy())
             lo += len(piece)
         return bounds, np.concatenate(rows)
 
-    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("count", [1, 4095, 4096, 4097, 1 << 16, (1 << 16) + 1, 2 * (1 << 16) + 5])
     def test_pieces_stay_inside_their_substream(self, n, count):
         bounds, rows = self.piece_bounds(n, count, [7, n])
@@ -282,6 +285,15 @@ class TestSampling:
             sphere_samples(2, 3, 3.0)
         with pytest.raises(TypeError):
             sphere_sample_chunks(2, 3, np.float64(3.0))
+
+    @pytest.mark.parametrize("rows", [1, 7, 4096, 4097])
+    def test_column_sums_have_the_bits_of_numpy_row_sums(self, rows):
+        # numpy halves a row longer than 128, so eight accumulators alone would differ from 4n = 132 on
+        rng = np.random.default_rng(rows)
+        for dim in range(8, 161, 4):
+            sq = rng.standard_normal((rows, dim)) ** 2
+            want = np.add.reduce(sq, axis=1)
+            assert _column_sums(np.ascontiguousarray(sq.T)).tobytes() == want.tobytes(), dim
 
     def test_chunk_iterator_reuses_one_buffer(self):
         chunks = sphere_sample_chunks(2, 2 * (1 << 16) + 5, 9)

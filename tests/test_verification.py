@@ -94,11 +94,11 @@ class TestSharedSamples:
     @pytest.mark.parametrize("n", [3, 5])
     def test_streamed_sample_set_bounds_memory(self, n):
         # 2e5 samples: at n = 3 the whole sample set alone is 18.3 MiB;
-        # streamed in 4096-row pieces the peak is 2.7 MiB at n = 3 and
-        # 3.2 MiB at n = 5 after one earlier check in the process, so it
+        # streamed in 4096-row pieces the peak is 2.64 MiB at n = 3 and
+        # 3.15 MiB at n = 5 after one earlier check in the process, so it
         # does not grow with n; the first check in a fresh process also
-        # holds its once-per-process allocations and peaks at 3.4 and
-        # 3.9 MiB, 0.08 MiB under the bound at n = 5
+        # holds its once-per-process allocations and peaks at 3.35 and
+        # 3.86 MiB, 0.14 MiB under the bound at n = 5
         bank = calibrate_bank(n, 6)
         tracemalloc.start()
         try:
