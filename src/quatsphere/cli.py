@@ -11,7 +11,7 @@ file.  Any other flag or key is a usage error.
 A measure is a file (a header line "# n=<n>", then one atom per line as 4n+1
 comma-separated reals: ambient coordinates, then weight) or one of the
 built-in fixtures uniform | point | subsphere:<k> | sp1-orbit, generated
-from (n, atoms, seed).
+from (n, atoms, seed).  A file's n must be the --n of the command.
 
 Every command builds the kernels it needs from their exact constants, so no
 command depends on an earlier run.
@@ -151,7 +151,7 @@ def load_measure(path: str | Path) -> DiscreteMeasure:
 
 
 def resolve_measure(name: str, cfg: RunConfig) -> DiscreteMeasure:
-    """A fixture name or a measure file path."""
+    """A fixture name or a measure file path; a file's measure must live in the dimension cfg.n."""
     if name == "uniform":
         return gen_uniform(cfg.n, cfg.atoms, cfg.seed)
     if name == "point":
@@ -167,15 +167,11 @@ def resolve_measure(name: str, cfg: RunConfig) -> DiscreteMeasure:
             raise UsageError(f"malformed fixture name {name!r}") from None
         return gen_subsphere(cfg.n, k, cfg.atoms, cfg.seed)  # a ValueError for a bad k exits 2 from main
     if Path(name).exists():
-        return load_measure(name)
+        measure = load_measure(name)
+        if measure.n != cfg.n:
+            raise UsageError(f"measure has n={measure.n} but config says n={cfg.n}")
+        return measure
     raise UsageError(f"{name!r} is neither a fixture name nor an existing file")
-
-
-def _bank(cfg: RunConfig, measure: DiscreteMeasure | None = None):
-    """The exact kernel of every index up to h_max; a measure must live in the same dimension n."""
-    if measure is not None and measure.n != cfg.n:
-        raise UsageError(f"measure has n={measure.n} but config says n={cfg.n}")
-    return calibrate_bank(cfg.n, cfg.h_max)
 
 
 def _out_base(cfg: RunConfig, default: str) -> Path:
@@ -196,7 +192,7 @@ def _write_json(path: Path, payload: dict):
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    bank = _bank(cfg)
+    bank = calibrate_bank(cfg.n, cfg.h_max)
     summary = run_verification(
         bank, cfg.n, cfg.h_max, cfg.epsilon, cfg.mc_samples, cfg.fd_step, cfg.seed
     )
@@ -214,7 +210,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_spectrum(measure: DiscreteMeasure, cfg: RunConfig) -> int:
-    bank = _bank(cfg, measure)
+    bank = calibrate_bank(cfg.n, cfg.h_max)
     report = spectrum_scan(
         measure, bank, cfg.h_max, cfg.epsilon,
         probes=cfg.probes, seed=cfg.seed,
@@ -229,7 +225,7 @@ def cmd_spectrum(measure: DiscreteMeasure, cfg: RunConfig) -> int:
 
 
 def cmd_multiplier(measure: DiscreteMeasure, cfg: RunConfig) -> int:
-    bank = _bank(cfg, measure)
+    bank = calibrate_bank(cfg.n, cfg.h_max)
     xs = sphere_samples(cfg.n, cfg.probes, [cfg.seed, _TAG_MULT])
     result = apply_multiplier(measure, bank, cfg.epsilon, cfg.h_max, xs)
     base = _out_base(cfg, "multiplier")
@@ -262,7 +258,7 @@ def cmd_dimension(measure: DiscreteMeasure, cfg: RunConfig) -> int:
 
 
 def cmd_report(measure: DiscreteMeasure, cfg: RunConfig) -> int:
-    bank = _bank(cfg, measure)
+    bank = calibrate_bank(cfg.n, cfg.h_max)
     report = theorem_consistency_report(
         measure, bank, cfg.epsilon, cfg.h_max, seed=cfg.seed,
         probes=cfg.probes,

@@ -145,8 +145,8 @@ def _row_norms(g: Array, panel: Array) -> Array:
     return np.maximum(nrm, 1e-300, out=nrm)
 
 
-def sphere_sample_chunks(n: int, count: int, seed: int | Sequence[int], out: Array | None = None):
-    """Iterator over the rows of sphere_samples(n, count, seed), one piece at a time.
+def sphere_sample_chunks(n: int, count: int, seed: int | Sequence[int]):
+    """Iterator over count seeded uniform points on S^{4n-1}, one piece of rows at a time.
 
     Uniformity comes from normalizing 4n-dimensional Gaussians.  Each
     _SAMPLE_SUBSTREAM rows come from an independently spawned substream,
@@ -155,16 +155,14 @@ def sphere_sample_chunks(n: int, count: int, seed: int | Sequence[int], out: Arr
     operator.index accepts) or a sequence of them.  The arguments are
     checked on the call.
 
-    Without `out`, each piece is a (rows, 4n) view whose transpose is a
-    C-contiguous (4n, rows) panel, so a GEMM against the samples reads one
-    contiguous operand.  The panels share one reused buffer, so a yielded
-    piece is valid only until the iterator advances.  The layout is part of
-    the bits of a product against the piece: OpenBLAS rounds some ragged
-    widths differently by operand layout (a (20x8)(8x341) product of
-    normals differed in 39 of its 6820 entries between the panel and the
-    transposed rows; the 4096-row pieces agreed).
-    With `out` (a (count, 4n) float64 array) each piece is written into its
-    own rows of `out` instead.
+    Each piece is a (rows, 4n) view whose transpose is a C-contiguous
+    (4n, rows) panel, so a GEMM against the samples reads one contiguous
+    operand.  The panels share one reused buffer, so a yielded piece is
+    valid only until the iterator advances.  The layout is part of the bits
+    of a product against the piece: OpenBLAS rounds some ragged widths
+    differently by operand layout (a (20x8)(8x341) product of normals
+    differed in 39 of its 6820 entries between the panel and the transposed
+    rows; the 4096-row pieces agreed).
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -189,28 +187,27 @@ def sphere_sample_chunks(n: int, count: int, seed: int | Sequence[int], out: Arr
                 panel = panels[: dim * rows].reshape(dim, rows)
                 # standard_normal fills in order, so the pieces of a substream
                 # are the rows of one draw of the whole substream
-                if out is None:
-                    g = rng.standard_normal((rows, dim))
-                    nrm = _row_norms(g, panel)
-                    # the norms are the panel's first row, so it is divided last
-                    np.divide(g.T[1:], nrm, out=panel[1:])
-                    np.divide(g.T[0], nrm, out=nrm)
-                    # the draw is freed before the piece is used
-                    del g
-                    yield panel.T
-                else:
-                    g = rng.standard_normal(out=out[lo : lo + rows])
-                    yield np.divide(g, _row_norms(g, panel)[:, None], out=g)
+                g = rng.standard_normal((rows, dim))
+                nrm = _row_norms(g, panel)
+                # the norms are the panel's first row, so it is divided last
+                np.divide(g.T[1:], nrm, out=panel[1:])
+                np.divide(g.T[0], nrm, out=nrm)
+                # the draw is freed before the piece is used
+                del g
+                yield panel.T
 
     return pieces()
 
 
 def sphere_samples(n: int, count: int, seed: int | Sequence[int]) -> Array:
-    """(count, 4n) array of i.i.d. uniform points on S^{4n-1} (see sphere_sample_chunks)."""
-    # arguments the iterator rejects get no buffer
-    out = np.empty((count, 4 * n)) if n >= 2 and count >= 1 else None
-    for _ in sphere_sample_chunks(n, count, seed, out=out):
-        pass
+    """(count, 4n) array of i.i.d. uniform points on S^{4n-1}: the rows of sphere_sample_chunks' pieces."""
+    # the iterator checks the arguments before the buffer is made
+    pieces = sphere_sample_chunks(n, count, seed)
+    out = np.empty((count, 4 * n))
+    lo = 0
+    for piece in pieces:
+        out[lo : lo + len(piece)] = piece
+        lo += len(piece)
     return out
 
 

@@ -157,20 +157,19 @@ def _merge_moments(moments, block: Array):
 
 
 def _product_moments(kernels, ends: Array, pieces) -> tuple[Array, Array]:
-    """Mean and stderr over the sample rows y of K1(x, y) K2(y, z), for every trial in one pass.
+    """Mean and stderr over the sample rows y of K(x, y) K(y, z), for every trial in one pass.
 
-    Trial t takes its kernels (K1, K2) from kernels[t] and x, z from rows 2t
-    and 2t + 1 of ends.  Each piece of at most quat_core._SAMPLE_PIECE rows
+    Trial t takes its kernel K from kernels[t] and x, z from rows 2t and
+    2t + 1 of ends.  Each piece of at most quat_core._SAMPLE_PIECE rows
     (such as those of sphere_sample_chunks, whose transposes are contiguous
     panels) is one block: one GEMM call gives the invariants of every
     endpoint, one contiguous row per endpoint; then the ladders are walked
-    once per trial whose two kernels are equal, on its two endpoint rows as
-    one (2, w) block, and once per endpoint row otherwise.  Each kernel row is written over the s row it
-    was walked from, and trial t's product over row t of a, which belongs
-    to a trial already walked.  All of it runs in one buffer stack: a, s,
-    and a scratch region that holds pair_invariants_matrix's third buffer,
-    then zonal_kernel._kernel_row's eight buffers of two rows each (the
-    first holding ones).
+    once per trial, on its two endpoint rows as one (2, w) block.  Each
+    kernel row is written over the s row it was walked from, and trial t's
+    product over row t of a, which belongs to a trial already walked.  All
+    of it runs in one buffer stack: a, s, and a scratch region that holds
+    pair_invariants_matrix's third buffer, then zonal_kernel._kernel_row's
+    eight buffers of two rows each (the first holding ones).
     """
     e, t = len(ends), len(kernels)
     stack = quat_core._aligned_empty((2 * e + max(e, 16), quat_core._SAMPLE_PIECE))
@@ -182,14 +181,9 @@ def _product_moments(kernels, ends: Array, pieces) -> tuple[Array, Array]:
         pair_bufs = [stack[lo : lo + 2].reshape(-1)[: 2 * w].reshape(2, w) for lo in range(2 * e, 2 * e + 16, 2)]
         # the ones share rows with c, which the GEMM call overwrites
         pair_bufs[0].fill(1.0)
-        row_bufs = [b[0] for b in pair_bufs]
-        for i, (ck1, ck2) in enumerate(kernels):
-            if ck1 == ck2:
-                pair = slice(2 * i, 2 * i + 2)
-                _kernel_row(ck1.index, a[pair], s[pair], ck1.c, pair_bufs, s[pair])
-            else:
-                for row, ck in ((2 * i, ck1), (2 * i + 1, ck2)):
-                    _kernel_row(ck.index, a[row], s[row], ck.c, row_bufs, s[row])
+        for i, ck in enumerate(kernels):
+            pair = slice(2 * i, 2 * i + 2)
+            _kernel_row(ck.index, a[pair], s[pair], ck.c, pair_bufs, s[pair])
             np.multiply(s[2 * i], s[2 * i + 1], out=a[i])
         moments = _merge_moments(moments, a[:t])
     count, mean, m2 = moments
@@ -198,18 +192,20 @@ def _product_moments(kernels, ends: Array, pieces) -> tuple[Array, Array]:
     return mean, np.sqrt(m2 / (count - 1)) / math.sqrt(count)
 
 
-def _product_integrals(trials, n: int, n_samples: int, seed: int, tag: int) -> list:
-    """Per trial (K1, K2): (est, stderr, K1(x, z)) for the integral of K1(x, y) K2(y, z) dsigma(y).
+def _product_integrals(kernels, n: int, n_samples: int, seed: int, tag: int) -> list:
+    """Per trial kernel K: (est, stderr, K(x, z)) for the integral of K(x, y) K(y, z) dsigma(y).
 
     Every trial draws its own x and z; the samples y are one stream, keyed
     [seed, tag], shared by all trials and walked once.
     """
     targets, ends = [], []
-    for trial, (ck1, ck2) in enumerate(trials):
-        x, z = sphere_samples(n, 2, [seed + trial, tag + 1, ck1.index.h, ck2.index.h, ck1.index.m, ck2.index.m])
-        targets.append(float(ck1.values(x, z[None, :])[0]))
+    for trial, ck in enumerate(kernels):
+        h, m = ck.index.h, ck.index.m
+        # h and m twice, as keyed for a kernel paired with itself, so that the endpoints keep their bits
+        x, z = sphere_samples(n, 2, [seed + trial, tag + 1, h, h, m, m])
+        targets.append(float(ck.values(x, z[None, :])[0]))
         ends += [x, z]
-    est, stderr = _product_moments(trials, np.stack(ends), sphere_sample_chunks(n, n_samples, [seed, tag]))
+    est, stderr = _product_moments(kernels, np.stack(ends), sphere_sample_chunks(n, n_samples, [seed, tag]))
     return [(float(e), float(se), target) for e, se, target in zip(est, stderr, targets)]
 
 
@@ -288,10 +284,10 @@ def check_idempotency(bank, n: int, h_max: int, n_samples: int, seed: int) -> Ch
     trials = []
     for _ in range(_PAIRS):
         idx = indices[int(rng.integers(len(indices)))]
-        trials.append((bank[(idx.h, idx.m)],) * 2)
+        trials.append(bank[(idx.h, idx.m)])
     failures = []
     results = _product_integrals(trials, n, n_samples, seed, _TAG_PRODUCT + 7)
-    for (ck, _), (est, stderr, target) in zip(trials, results):
+    for ck, (est, stderr, target) in zip(trials, results):
         if not abs(est - target) <= 4.0 * stderr + 1e-9 * max(abs(target), 1.0):
             failures.append(f"({ck.index.h},{ck.index.m}): |{est:.4e} - {target:.4e}| vs 4se {4*stderr:.3e}")
     for idx in indices:

@@ -71,11 +71,32 @@ def paper_raw_kernel(idx, a, s):
     return pref * math.comb(h - m + 2 * n - 2, 2 * n - 3) * cheb_u_scaled(k, a, s) * jacobi
 
 
+def row_major_samples(n, count, seed):
+    """quat_core.sphere_samples(n, count, seed), each piece drawn into its own rows and divided there.
+
+    Each 65536-row substream comes from its own spawned generator, drawn in
+    pieces of 4096 rows, and each row is divided by its norm from
+    np.linalg.norm, floored at 1e-300.
+    """
+    keys = [seed] if np.ndim(seed) == 0 else list(seed)
+    substream, piece = 1 << 16, 4096
+    out = np.empty((count, 4 * n))
+    for ci, child in enumerate(np.random.SeedSequence(keys).spawn(-(-count // substream))):
+        rng = np.random.default_rng(child)
+        end = min((ci + 1) * substream, count)
+        for lo in range(ci * substream, end, piece):
+            g = rng.standard_normal(out=out[lo : min(lo + piece, end)])
+            g /= np.maximum(np.linalg.norm(g, axis=1), 1e-300)[:, None]
+    return out
+
+
 def chunked_product_moments(kernels, ends, samples):
     """Mean and stderr of verification's product pass, walking a whole sample array chunk by chunk.
 
-    Each 65536-row chunk is taken in blocks of 4096 rows, and each block is
-    one GEMM call and one moment merge, in separate buffers.
+    Trial t multiplies K1(x, y) by K2(y, z) for its pair kernels[t] = (K1, K2),
+    with x, z rows 2t and 2t + 1 of ends; each endpoint row is walked on its
+    own.  Each 65536-row chunk is taken in blocks of 4096 rows, and each
+    block is one GEMM call and one moment merge, in separate buffers.
     """
     chunk, block = 1 << 16, 4096
     flat = np.empty((3, len(ends) * block))

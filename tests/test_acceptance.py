@@ -6,6 +6,8 @@ Run with `pytest tests/test_acceptance.py -v -s`.
 
 import time
 
+import numpy as np
+
 from quatsphere import (
     apply_multiplier,
     calibrate_bank,
@@ -25,9 +27,10 @@ from quatsphere.cli import main
 from quatsphere.spectral import function_measure, in_cone
 from quatsphere.verification import _product_integrals, _TAG_PRODUCT
 from quatsphere.zonal_kernel import index_range
-from quatsphere.quat_core import seeded_rng
+from quatsphere.quat_core import seeded_rng, sphere_samples
 
 from .conftest import BANK_SAMPLES
+from .oracles import chunked_product_moments
 
 EPSILON = 0.1
 
@@ -91,12 +94,19 @@ def test_criterion_4_orthogonality_idempotency(bank8):
     for _ in range(5):
         i1, i2 = rng.choice(len(indices), size=2, replace=False)
         distinct.append((bank8[(indices[i1].h, indices[i1].m)], bank8[(indices[i2].h, indices[i2].m)]))
-    for est, stderr, _ in _product_integrals(distinct, 2, BANK_SAMPLES, 400, _TAG_PRODUCT):
+    # the product pass pairs a kernel only with itself: distinct pairs are walked by the oracle, on the
+    # endpoints and samples the pass would draw
+    ends = np.concatenate([
+        sphere_samples(2, 2, [400 + trial, _TAG_PRODUCT + 1, ck1.index.h, ck2.index.h, ck1.index.m, ck2.index.m])
+        for trial, (ck1, ck2) in enumerate(distinct)
+    ])
+    samples = sphere_samples(2, BANK_SAMPLES, [400, _TAG_PRODUCT])
+    for est, stderr in zip(*chunked_product_moments(distinct, ends, samples)):
         worst_z = max(worst_z, abs(est) / (stderr + 1e-30))
     equal = []
     for _ in range(5):
         idx = indices[int(rng.integers(len(indices)))]
-        equal.append((bank8[(idx.h, idx.m)],) * 2)
+        equal.append(bank8[(idx.h, idx.m)])
     for est, stderr, target in _product_integrals(equal, 2, BANK_SAMPLES, 500, _TAG_PRODUCT + 7):
         z = abs(est - target) / (stderr + 1e-9 * max(abs(target), 1.0))
         worst_z = max(worst_z, z)

@@ -299,6 +299,15 @@ class TestCommands:
         flagged = [(e["h"], e["m"]) for e in blob["entries"] if e["flagged_nonzero"]]
         assert (2, 1) in flagged
 
+    @pytest.mark.parametrize("command", ["spectrum", "multiplier", "report", "dimension"])
+    def test_measure_file_of_another_n_is_usage_error(self, tmp_path, capsys, command):
+        mfile = tmp_path / "m2.txt"
+        save_measure(gen_uniform(2, 50, seed=3), mfile)
+        rc = main([command, str(mfile), "--n", "3", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: measure has n=2 but config says n=3\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["m2.txt"]
+
     def test_dimension_fixture(self, tmp_path):
         out = tmp_path / "dim"
         rc = main(["dimension", "sp1-orbit", "--n", "2", "--seed", "5",
@@ -334,7 +343,7 @@ class TestCommands:
 
     def test_calibrate_gives_exact_dimensions(self):
         # the Monte Carlo fit this replaced could not fit (6, 0) at 1e4 samples
-        bank = cli._bank(RunConfig(n=2, h_max=12, mc_samples=10_000, seed=1))
+        bank = calibrate_bank(2, 12)
         assert len(bank) == len(index_range(2, 12))
         for idx in index_range(2, 12):
             diag = bank[(idx.h, idx.m)].c * float(raw_kernel_values(idx, 1.0, 1.0))

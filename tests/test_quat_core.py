@@ -12,7 +12,7 @@ from quatsphere.quat_core import (
     sphere_sample_chunks,
 )
 
-from .oracles import conj, exp_imag, flow_points, inner
+from .oracles import conj, exp_imag, flow_points, inner, row_major_samples
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
 quats = st.tuples(finite, finite, finite, finite).map(np.array)
@@ -239,7 +239,7 @@ class TestSampling:
             rows.append(chunk.copy())
             sizes.append(len(chunk))
         assert sizes == [min(4096, count - lo) for lo in range(0, count, 4096)]
-        assert np.array_equal(np.concatenate(rows), sphere_samples(n, count, [4, n]))
+        assert np.array_equal(np.concatenate(rows), row_major_samples(n, count, [4, n]))
 
     @staticmethod
     def piece_bounds(n, count, seed):
@@ -260,7 +260,15 @@ class TestSampling:
         substreams = [(s0, min(s0 + (1 << 16), count)) for s0 in range(0, count, 1 << 16)]
         assert bounds == [(lo, min(lo + 4096, end)) for s0, end in substreams for lo in range(s0, end, 4096)]
         assert all(lo >> 16 == (hi - 1) >> 16 for lo, hi in bounds)
-        assert rows.tobytes() == sphere_samples(n, count, [7, n]).tobytes()
+        assert rows.tobytes() == row_major_samples(n, count, [7, n]).tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("count", [1, 4097, (1 << 16) + 5])
+    def test_samples_have_the_bits_of_row_major_pieces(self, n, count):
+        # sphere_samples copies the column-major pieces' rows; both keep the bits of dividing each row in place
+        want = row_major_samples(n, count, [3, n]).tobytes()
+        assert sphere_samples(n, count, [3, n]).tobytes() == want
+        assert self.piece_bounds(n, count, [3, n])[1].tobytes() == want
 
     def test_pieces_that_do_not_divide_a_substream(self, monkeypatch):
         # 7000-row pieces: each substream ends in a ragged piece, and the rows do not move

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -357,6 +358,12 @@ class TestFunctionMeasure:
         # its (2, 1) projection at x0 approximates ||K(x0,.)||^2 = diag
         val = project_values(mu, ck, x0)[0]
         assert val == pytest.approx(ck.diagonal(), rel=0.05)
+
+    def test_seeded_atoms_are_pinned(self):
+        # f uses no BLAS call, so the bytes depend only on the seeded draws: three chunks, each from its own child
+        mu = function_measure(lambda pts: 1.0 + pts[:, 0], 2, 40_000, seed=3)
+        digest = hashlib.sha256(mu.points.tobytes() + mu.weights.tobytes()).hexdigest()
+        assert digest == "edd1bc54ca34caf269d9be0035563152a262c5fd7fd144b7639685fda2a2ef80"
 
     def test_rejects_zero_function(self):
         with pytest.raises(ValueError):

@@ -31,7 +31,9 @@ from quatsphere.verification import _TAG_PRODUCT, _merge_moments, _product_integ
 from quatsphere.zonal_kernel import raw_kernel_values
 
 from .counting import CountingNumpy
-from .oracles import chunked_product_moments, paper_raw_kernel, raw_kernel, three_buffer_kernel_rungs
+from .oracles import (
+    chunked_product_moments, paper_raw_kernel, raw_kernel, row_major_samples, three_buffer_kernel_rungs,
+)
 
 
 def point_pair_with_invariants(a: float, s: float) -> tuple[np.ndarray, np.ndarray]:
@@ -258,31 +260,33 @@ class TestExactConstants:
             assert np.max(np.abs(shell - zonal)) <= 1e-12 * dim_h, h
 
 
-def pointwise_products(ck1, ck2, count: int, seed: int, trial: int = 0):
-    """K1(x, y) K2(y, z) over the rows y of one sample set, from CalibratedKernel.values: the oracle."""
+def pointwise_products(ck, count: int, seed: int, trial: int = 0):
+    """K(x, y) K(y, z) over the rows y of one sample set, from CalibratedKernel.values: the oracle."""
     ys = sphere_samples(2, count, [seed, _TAG_PRODUCT])
-    (h1, m1), (h2, m2) = (ck1.index.h, ck1.index.m), (ck2.index.h, ck2.index.m)
-    x, z = sphere_samples(2, 2, [seed + trial, _TAG_PRODUCT + 1, h1, h2, m1, m2])
-    return ck1.values(x, ys) * ck2.values(z, ys)
+    h, m = ck.index.h, ck.index.m
+    x, z = sphere_samples(2, 2, [seed + trial, _TAG_PRODUCT + 1, h, h, m, m])
+    return ck.values(x, ys) * ck.values(z, ys)
+
+
+# ten indices with h <= 5, P_0-only ones among them
+TEN_KEYS = [(3, 1), (2, 1), (4, 2), (0, 0), (5, 2), (1, 0), (4, 0), (2, 0), (5, 1), (3, 0)]
 
 
 class TestBlockedSamplePath:
-    @pytest.mark.parametrize("pair", [((3, 1), (3, 1)), ((2, 1), (4, 2))])
+    @pytest.mark.parametrize("pair", [(3, 1), (4, 2)])
     def test_product_integral_matches_pointwise_values(self, bank8, pair):
-        ck1, ck2 = bank8[pair[0]], bank8[pair[1]]
-        [(est, stderr, _)] = _product_integrals([(ck1, ck2)], 2, 20_000, 5, _TAG_PRODUCT)
-        prod = pointwise_products(ck1, ck2, 20_000, 5)
+        [(est, stderr, _)] = _product_integrals([bank8[pair]], 2, 20_000, 5, _TAG_PRODUCT)
+        prod = pointwise_products(bank8[pair], 20_000, 5)
         assert est == pytest.approx(np.mean(prod), rel=1e-12)
         assert stderr == pytest.approx(np.std(prod, ddof=1) / math.sqrt(20_000), rel=1e-12)
 
     def test_ten_trials_over_ragged_chunks_and_blocks(self, bank8):
         # the count ends in a 5-row chunk, which is also a ragged block
-        keys = [(3, 1), (2, 1), (4, 2), (0, 0), (5, 2), (1, 0), (4, 0), (2, 0), (5, 1), (3, 0)]
-        trials = [(bank8[keys[t]], bank8[keys[(3 * t + 1) % 10]]) for t in range(10)]
+        trials = [bank8[key] for key in TEN_KEYS]
         count = 2 * (1 << 16) + 5
         results = _product_integrals(trials, 2, count, 5, _TAG_PRODUCT)
-        for trial, ((ck1, ck2), (est, stderr, _)) in enumerate(zip(trials, results)):
-            prod = pointwise_products(ck1, ck2, count, 5, trial)
+        for trial, (ck, (est, stderr, _)) in enumerate(zip(trials, results)):
+            prod = pointwise_products(ck, count, 5, trial)
             assert est == pytest.approx(np.mean(prod), rel=1e-12), trial
             assert stderr == pytest.approx(np.std(prod, ddof=1) / math.sqrt(count), rel=1e-12), trial
 
@@ -297,20 +301,20 @@ class TestBlockedSamplePath:
 
         monkeypatch.setattr(verification, "pair_invariants_matrix", counting)
         monkeypatch.setattr(quat_core, "_SAMPLE_PIECE", 7000)
-        trials = [(bank8[(3, 1)], bank8[(2, 1)]), (bank8[(4, 2)], bank8[(4, 2)])]
-        _product_integrals(trials, 2, (1 << 16) + 5, 5, _TAG_PRODUCT)
+        _product_integrals([bank8[(3, 1)], bank8[(4, 2)]], 2, (1 << 16) + 5, 5, _TAG_PRODUCT)
         # the first substream is nine whole pieces and a ragged one, and the count ends in a 5-row substream
         assert calls == [(4, 7000)] * 9 + [(4, (1 << 16) - 63_000), (4, 5)]
 
     @pytest.mark.parametrize("trials", [2, 10])
     def test_pieces_match_the_chunk_then_block_walk(self, bank8, trials):
         # each piece is one block of the walk over 65536-row chunks, so every GEMM and merge keeps its bits
-        keys = [(3, 1), (2, 1), (4, 2), (0, 0), (5, 2), (1, 0), (4, 0), (2, 0), (5, 1), (3, 0)]
-        kernels = [(bank8[keys[t]], bank8[keys[(3 * t + 1) % 10]]) for t in range(trials)]
+        kernels = [bank8[key] for key in TEN_KEYS[:trials]]
         ends = sphere_samples(2, 2 * trials, 8)
         count = 2 * (1 << 16) + 5
         mean, stderr = _product_moments(kernels, ends, sphere_sample_chunks(2, count, 9))
-        ref_mean, ref_stderr = chunked_product_moments(kernels, ends, sphere_samples(2, count, 9))
+        ref_mean, ref_stderr = chunked_product_moments(
+            [(ck, ck) for ck in kernels], ends, row_major_samples(2, count, 9)
+        )
         assert mean.tobytes() == ref_mean.tobytes()
         assert stderr.tobytes() == ref_stderr.tobytes()
 
@@ -318,18 +322,20 @@ class TestBlockedSamplePath:
     @pytest.mark.parametrize(
         "keys",
         [
-            [((3, 1),) * 2, ((5, 2),) * 2, ((3, 1),) * 2, ((2, 1),) * 2],
-            [((0, 0),) * 2, ((1, 0),) * 2, ((4, 0),) * 2, ((0, 0), (1, 0)), ((7, 0), (4, 0))],
-            [((3, 1),) * 2, ((3, 1), (2, 1)), ((0, 0),) * 2, ((4, 2), (1, 0)), ((6, 1),) * 2, ((8, 4), (8, 0))],
+            [(3, 1), (5, 2), (3, 1), (2, 1)],
+            [(0, 0), (1, 0), (4, 0), (0, 0), (7, 0), (4, 0)],
+            [(3, 1), (2, 1), (0, 0), (4, 2), (1, 0), (6, 1), (8, 4), (8, 0)],
         ],
-        ids=["equal, one index repeated", "P_0 only", "equal and distinct"],
+        ids=["equal, one index repeated", "P_0 only", "equal, h up to 8"],
     )
     def test_pair_walks_match_the_chunk_then_block_walk(self, bank8, keys, count):
-        # a trial of two equal kernels walks its endpoint rows as one block, with the bits of one walk per row
-        kernels = [(bank8[k1], bank8[k2]) for k1, k2 in keys]
+        # a trial walks its two endpoint rows as one block, with the bits of one walk per row
+        kernels = [bank8[key] for key in keys]
         ends = sphere_samples(2, 2 * len(kernels), 8)
         mean, stderr = _product_moments(kernels, ends, sphere_sample_chunks(2, count, 9))
-        ref_mean, ref_stderr = chunked_product_moments(kernels, ends, sphere_samples(2, count, 9))
+        ref_mean, ref_stderr = chunked_product_moments(
+            [(ck, ck) for ck in kernels], ends, row_major_samples(2, count, 9)
+        )
         assert mean.tobytes() == ref_mean.tobytes()
         assert stderr.tobytes() == ref_stderr.tobytes()
 
@@ -347,7 +353,9 @@ class TestBlockedSamplePath:
         monkeypatch.setattr(verification, "_product_moments", recorded)
         assert verification.check_idempotency(calibrate_bank(n, 6), n, 6, 200_000, 1).passed
         [(kernels, ends, (mean, stderr))] = passes
-        ref_mean, ref_stderr = chunked_product_moments(kernels, ends, sphere_samples(*draws[0]))
+        ref_mean, ref_stderr = chunked_product_moments(
+            [(ck, ck) for ck in kernels], ends, row_major_samples(*draws[0])
+        )
         assert mean.tobytes() == ref_mean.tobytes()
         assert stderr.tobytes() == ref_stderr.tobytes()
 
@@ -367,7 +375,7 @@ class TestBlockedSamplePath:
             for name, value in list(vars(module).items()):
                 if any(value is fn for fn in checked):
                     monkeypatch.setattr(module, name, counted(value))
-        kernels = [(bank8[(3, 1)], bank8[(2, 1)]), (bank8[(5, 2)], bank8[(4, 0)])]
+        kernels = [bank8[(3, 1)], bank8[(5, 2)]]
         ends = sphere_samples(2, 4, 8)
         _product_moments(kernels, ends, sphere_sample_chunks(2, 10_000, 9))
         assert calls == []
@@ -377,13 +385,13 @@ class TestBlockedSamplePath:
     def test_equal_pair_integral_is_the_pointwise_mean(self, bank8):
         # the second of two equal trials draws its own x and z and shares the sample rows
         ck = bank8[(2, 1)]
-        results = _product_integrals([(ck, ck)] * 2, 2, 20_000, 5, _TAG_PRODUCT)
-        prod = pointwise_products(ck, ck, 20_000, 5, trial=1)
+        results = _product_integrals([ck] * 2, 2, 20_000, 5, _TAG_PRODUCT)
+        prod = pointwise_products(ck, 20_000, 5, trial=1)
         assert results[1][0] == pytest.approx(np.mean(prod), rel=1e-12)
 
     def test_fewer_than_two_samples_is_an_error(self, bank8):
         with pytest.raises(ValueError, match="at least 2 samples"):
-            _product_integrals([(bank8[(2, 1)], bank8[(2, 1)])], 2, 1, 5, _TAG_PRODUCT)
+            _product_integrals([bank8[(2, 1)]], 2, 1, 5, _TAG_PRODUCT)
 
 
 class TestOneWalk:
@@ -419,7 +427,7 @@ class TestOneWalk:
             "project_values": (spectral, lambda: project_values(mu, bank8[(3, 1)], xs)),
             "raw_kernel_values": (zonal_kernel, lambda: raw_kernel_values(KernelIndex(3, 1, 2), 0.2, 0.5)),
             "product pass": (zonal_kernel, lambda: _product_moments(
-                [(bank8[(3, 1)], bank8[(2, 1)])], sphere_samples(2, 2, 8), sphere_sample_chunks(2, 100, 9)
+                [bank8[(3, 1)]], sphere_samples(2, 2, 8), sphere_sample_chunks(2, 100, 9)
             )),
         }
         for name, (module, run) in paths.items():
@@ -521,8 +529,8 @@ class TestOneWalk:
 class TestStableMoments:
     def test_constant_product_has_zero_stderr(self, bank8):
         ck = bank8[(0, 0)]
-        [(est, stderr, target)] = _product_integrals([(ck, ck)], 2, 20_000, 5, _TAG_PRODUCT)
-        prod = pointwise_products(ck, ck, 20_000, 5)
+        [(est, stderr, target)] = _product_integrals([ck], 2, 20_000, 5, _TAG_PRODUCT)
+        prod = pointwise_products(ck, 20_000, 5)
         assert np.std(prod, ddof=1) == 0.0
         assert stderr == 0.0
         assert est == target == 1.0
