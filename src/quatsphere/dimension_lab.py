@@ -32,6 +32,9 @@ _LANE = 8
 # reference atoms kept by correlation_dimension, and radii in its fit window
 _MAX_REFS = 4096
 _N_BINS = 16
+# power-iteration steps for the pair walk's axis, and hits handled per slice of a tile
+_POWER_STEPS = 16
+_HIT_SLICE = 8192
 
 
 def gen_point_mass(x0: Array) -> DiscreteMeasure:
@@ -51,7 +54,8 @@ def gen_subsphere(n: int, k: int, count: int, seed: int) -> DiscreteMeasure:
     if k == 1:
         # sphere_samples requires n >= 2; sample S^3 directly
         g = seeded_rng(seed, n, k).standard_normal((count, 4))
-        pts[:, :4] = g / np.linalg.norm(g, axis=1, keepdims=True)
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        pts[:, :4] = g
     else:
         pts[:, : 4 * k] = sphere_samples(k, count, [seed, n, k])
     return DiscreteMeasure(pts, np.full(count, 1.0 / count), name=f"subsphere:{k}")
@@ -61,9 +65,13 @@ def gen_sp1_orbit(x0: Array, count: int, seed: int) -> DiscreteMeasure:
     """Atoms q * x0 for uniform unit quaternions q (a 3-dimensional orbit)."""
     g = seeded_rng(seed, _TAG_ORBIT).standard_normal((count, 4))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
-    # one batched Hamilton product: a (count, 4, 4) stack of left-multiplication matrices
-    mats = _left_mul_matrix(*g.T).transpose(2, 0, 1)
-    pts = (x0.reshape(-1, 4) @ mats.transpose(0, 2, 1)).reshape(count, -1)
+    # batched Hamilton products on stacks of 2048 left-multiplication matrices, so that
+    # no (count, 4, 4) stack is held; each row's product is its own, so the stack size
+    # does not show in the bits
+    pts = np.empty((count, x0.size))
+    for lo in range(0, count, 2048):
+        mats = _left_mul_matrix(*g[lo : lo + 2048].T).transpose(2, 0, 1)
+        pts[lo : lo + len(mats)] = (x0.reshape(-1, 4) @ mats.transpose(0, 2, 1)).reshape(len(mats), -1)
     return DiscreteMeasure(pts, np.full(count, 1.0 / count), name="sp1-orbit")
 
 
@@ -98,28 +106,47 @@ def _spans(lo: int, hi: int, size: int):
     return zip(ends[:-1], ends[1:])
 
 
-def _gram_tiles(x: Array, y: Array, upper: bool = False):
+def _lane_spans(spans):
+    """Column spans widened to whole lanes and merged where they meet.
+
+    Merging keeps widened spans from sharing a column, which would meet its pairs twice.
+    """
+    merged = []
+    for c0, c1 in sorted((c0 // _LANE * _LANE, -(-c1 // _LANE) * _LANE) for c0, c1 in spans if c0 < c1):
+        if merged and c0 <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], c1)
+        else:
+            merged.append([c0, c1])
+    return merged
+
+
+def _gram_tiles(x: Array, y: Array, columns=None, order=None):
     """Yield (r0, c0, g) with g = (2 x[r0:r1]) @ y[c0:c1].T, each g overwriting the last.
 
-    A pair's squared distance is (sq_i + sq_j) - g_ij.  Every product has at least 2
-    rows (callers pass x with at least 2) and whole lanes of columns (y is padded with
-    zero rows, which g leaves out), so no value comes from a matrix-vector product or a
-    remainder kernel, and g_ij has the same bits whatever the block and tile sizes.
-    With upper (x a prefix of y), each block's tiles start at its own first row: every
-    unordered pair with a point of x is met once, and callers drop j <= i where a tile
-    overlaps its block (c0 < r1).
+    A pair's squared distance is (sq_i + sq_j) - g_ij.  columns(r0, r1) gives the column
+    spans that block r0:r1 walks (every column when None); they are widened to whole
+    lanes and merged, and callers whose spans meet the block's rows drop j <= i where a
+    tile overlaps its block (c0 < r1).  With order, the columns are the rows of
+    y[order], gathered a tile at a time, so no permuted copy of y is made.  Every product
+    has at least 2 rows (callers pass x with at least 2) and whole lanes of columns (a
+    tile past the last column reads zero rows, which g leaves out), so no value comes
+    from a matrix-vector product or a remainder kernel, and g_ij has the same bits
+    whatever the block, tile and span.
     """
-    m = len(y)
-    y = np.concatenate([y, np.zeros((-m % _LANE, y.shape[1]))]) if m % _LANE else y
+    m = len(y) if order is None else len(order)
     cols = max(_LANE, _DISTANCE_TILE // _LANE * _LANE)
     rows = max(_LANE, _DISTANCE_BLOCK // cols // _LANE * _LANE)
     # on a cache-line boundary: 16 to 48 bytes past one, the tiles' GEMMs ran about 7% slower
     buf = _aligned_empty(((rows + _LANE) * cols,))
     for r0, r1 in _spans(0, len(x), rows):
         x2 = 2.0 * x[r0:r1]  # exact doubling: G's rounding is kept, and (2a).b == (2b).a bit for bit
-        for c0, c1 in _spans(r0 if upper else 0, len(y), cols):
-            g = np.matmul(x2, y[c0:c1].T, out=buf[: (r1 - r0) * (c1 - c0)].reshape(r1 - r0, c1 - c0))
-            yield r0, c0, g[:, : m - c0]
+        for lo, hi in _lane_spans([(0, m)] if columns is None else columns(r0, r1)):
+            for c0, c1 in _spans(lo, hi, cols):
+                yc = y[c0:c1] if order is None else y[order[c0:c1]]
+                if c1 > m:
+                    yc = np.concatenate([yc, np.zeros((c1 - m, y.shape[1]))])
+                g = np.matmul(x2, yc.T, out=buf[: (r1 - r0) * (c1 - c0)].reshape(r1 - r0, c1 - c0))
+                yield r0, c0, g[:, : m - c0]
 
 
 def _margin(sq: Array, t: float) -> float:
@@ -130,6 +157,25 @@ def _margin(sq: Array, t: float) -> float:
     twice again for the rounding of the thresholds built from it.
     """
     return 2.0 * np.finfo(np.float64).eps * (2.0 * float(sq.max()) + t)
+
+
+def _principal_axis(x: Array) -> Array:
+    """Unit vector along which the rows of x spread most, by power iteration on their scatter.
+
+    With c the rows about their mean, each step takes (c v) c, two matrix-vector
+    products, from the row of c farthest out; so no LAPACK routine is called, nor a
+    rank-k update, whose code would be paged in for this alone.  Rows that do not
+    spread (one distinct row) give the first coordinate axis.
+    """
+    c = x - x.mean(axis=0)
+    spread = np.sum(c * c, axis=1)
+    v = c[np.flatnonzero(spread == spread.max())[0]]
+    for _ in range(_POWER_STEPS):
+        norm = math.sqrt(float(v @ v))
+        if not norm > 0.0:
+            return np.eye(x.shape[1])[0]
+        v = (c @ (v / norm)) @ c
+    return v / math.sqrt(float(v @ v))
 
 
 def _pair_counts(
@@ -148,42 +194,117 @@ def _pair_counts(
     rho_i w_j + rho_j w_i, rho being 0 off the references.  Only pairs whose GEMM value
     admits d2 <= edges[-1]**2 get an exact squared distance; they are binned with
     np.histogram's semantics (half-open bins, last edge closed, d2 < 0 in bin 0).
+
+    Such a pair lies within `reach` of each other, and so within reach along any unit
+    axis u.  The references, then the other atoms, are sorted by their projection on
+    the references' principal axis (by a key that keeps its order), and each block of
+    references walks only the atoms whose projection lies within reach of the block's.
     """
     m = len(points)
     refs, inv = np.unique(ref_idx, return_inverse=True)
-    rest = np.ones(m, dtype=bool)
-    rest[refs] = False
-    order = np.concatenate([refs, np.flatnonzero(rest)])
-    pts = points[order]
-    sq = np.sum(points * points, axis=1)[order]
-    w = np.ones(m) if uniform else weights[order]
+    n_refs = len(refs)
     rho = np.zeros(m)
-    rho[: len(refs)] = np.bincount(inv, None if uniform else ref_w)
+    rho[refs] = np.bincount(inv, None if uniform else ref_w)
+    sq = np.sum(points * points, axis=1)
     # a lone reference walks with the next atom at rho 0: a 1-row block is not a GEMM
-    n_rows = max(2, len(refs))
+    n_rows = max(2, n_refs)
 
     edges_sq = edges * edges
     t = float(edges_sq[-1])
-    thr = 2.0 * float(sq.min()) - t - _margin(sq, t)
+    margin = _margin(sq, t)
+    thr = 2.0 * float(sq.min()) - t - margin
+    # g >= thr bounds a pair's squared distance by t + margin + 2 (max sq - min sq), up
+    # to the rounding of g and of the norms, which `rounding` * max sq covers (d terms per
+    # dot product); the factor 1 + 1e-9 and the last term cover the projections' rounding
+    sq_max = float(sq.max())
+    rounding = 4.0 * points.shape[1] * np.finfo(np.float64).eps
+    reach = (1.0 + 1e-9) * math.sqrt(t + margin + 2.0 * (sq_max - float(sq.min())) + rounding * sq_max)
+    reach += rounding * math.sqrt(sq_max)
+
+    # an atom's key is its projection from 0 in whole steps of 1 / scale, truncated, which
+    # keeps the order of q; a band's ends, at most reach past q's range, stay within
+    # `steps` of 0, and `steps` below 2**52 keeps q * scale from rounding past it.  A key
+    # times m plus the atom's index stays below 2**62
+    q = points @ _principal_axis(points[refs])
+    q -= q.min()
+    steps = min(1 << 52, (1 << 62) // m) - 1
+    scale = steps / (float(q.max()) + 2.0 * reach)
+    packed = (q * scale).astype(np.int64)
+    packed *= m
+    packed += np.arange(m)
+    rest = np.ones(m, dtype=bool)
+    rest[refs] = False
+    # the distinct references, then the other atoms, each by key: a sort of the packed
+    # values orders the atoms as an argsort would, without paging in numpy's argsort
+    # code (128 to 192 KB of it, which showed in the benchmark's peak RSS)
+    key, order = np.divmod(np.concatenate([np.sort(packed[refs]), np.sort(packed[rest])]), m)
+    del inv, packed, rest
+    q, rho, sq = q[order[:n_refs]], rho[order], sq[order]
+    w = None if uniform else weights[order]
+
+    def band(r0, r1):
+        # q * scale, truncated, is monotone in q, like each key: the references from the
+        # block's first row on have keys at or above its own; the other atoms, from n_refs
+        # on, are cut at both ends
+        rows = q[r0 : min(r1, n_refs)]
+        lo = int((float(rows.min()) - reach) * scale)
+        hi = int((float(rows.max()) + reach) * scale)
+        tail = key[n_refs:]
+        return [
+            (r0, max(r1, r0 + int(np.searchsorted(key[r0:n_refs], hi, side="right")))),
+            (n_refs + int(np.searchsorted(tail, lo)), n_refs + int(np.searchsorted(tail, hi, side="right"))),
+        ]
+
     # d2 past the last edge falls in an overflow bin, dropped at the end
     bin_edges = np.append(edges_sq[:-1], np.nextafter(t, np.inf))
     hist = np.zeros(len(edges_sq))
-    for r0, c0, g in _gram_tiles(pts[:n_rows], pts, upper=True):
-        idx = np.flatnonzero(g >= thr)
+    for r0, c0, g in _gram_tiles(points[order[:n_rows]], points, band, order):
+        hist += _tile_hist(g, r0, c0, _tile_hits(g, r0, c0, thr), sq, rho, w, bin_edges)
+    return np.cumsum(hist[:-1])
+
+
+def _tile_hits(g: Array, r0: int, c0: int, thr: float) -> Array:
+    """Flat indices in g of the pairs j > i of one tile (rows from r0, columns from c0) with g >= thr."""
+    mask = g >= thr
+    # drop the pairs j <= i where the tile overlaps its block (row by row: an in-place
+    # operation on a strided view of the mask allocates as much as the mask)
+    for k in range(max(0, c0 - r0), len(g)):
+        mask[k, : r0 + k - c0 + 1] = False
+    return np.flatnonzero(mask)
+
+
+def _tile_hist(g: Array, r0: int, c0: int, hits: Array, sq: Array, rho: Array, w, bin_edges: Array) -> Array:
+    """Weighted counts in each bin of a tile's hits (rows from r0, columns from c0).
+
+    w None stands for equal weights.  The hits are handled a slice at a time, so a
+    dense tile's temporaries stay small.
+    """
+    hist = np.zeros(len(bin_edges))
+    for s0 in range(0, len(hits), _HIT_SLICE):
+        idx = hits[s0 : s0 + _HIT_SLICE]
         i, j = np.divmod(idx, g.shape[1])
         i += r0
         j += c0
-        if c0 < r0 + len(g):
-            keep = j > i
-            idx, i, j = idx[keep], i[keep], j[keep]
-        d2 = np.maximum((sq[i] + sq[j]) - g.ravel()[idx], 0.0)
+        # in place, with the bits of max((sq_i + sq_j) - g, 0) and rho_i w_j + rho_j w_i
+        d2 = sq[i]
+        d2 += sq[j]
+        d2 -= g.ravel()[idx]
+        np.maximum(d2, 0.0, out=d2)
+        if w is None:
+            wts = rho[i]
+            wts += rho[j]
+        else:
+            wts = rho[i] * w[j]
+            wts += rho[j] * w[i]
+        del i, j
         # a bin index is the number of edges past the first at or below d2 (a few
         # vectorized passes beat a binary search per pair)
-        bins = np.zeros(len(d2), dtype=np.min_scalar_type(len(hist)))
+        bins = np.zeros(len(d2), dtype=np.min_scalar_type(len(bin_edges)))
         for e in bin_edges[1:]:
             bins += d2 >= e
-        hist += np.bincount(bins, rho[i] * w[j] + rho[j] * w[i], minlength=len(hist))
-    return np.cumsum(hist[:-1])
+        hist += np.bincount(bins, wts, minlength=len(bin_edges))
+        del d2, wts, bins  # before the next slice's arrays
+    return hist
 
 
 def _probe(points: Array, rows: Array, fill: float, select):
@@ -262,7 +383,8 @@ def correlation_dimension(measure: DiscreteMeasure, seed: int = 0) -> DimensionE
     nn = _nearest_sq_distances(pts, ref_idx[:256])
     r_lo = 2.0 * math.sqrt(np.median(np.maximum(nn, 0.0)))
     r_hi = diameter / 4.0
-    if r_lo >= r_hi:
+    # duplicated atoms can make the median nearest-neighbour distance 0
+    if not 0.0 < r_lo < r_hi:
         r_lo = r_hi / 16.0
     r = np.geomspace(r_lo, r_hi, _N_BINS)
     edges = np.concatenate([[0.0], r])
@@ -302,7 +424,7 @@ def s_energy(measure: DiscreteMeasure, s: float) -> float:
     sq = np.sum(pts * pts, axis=1)
     total = 0.0
     # each unordered pair once, doubled; j <= i reads inf and adds 0
-    for r0, c0, g in _gram_tiles(pts, pts, upper=True):
+    for r0, c0, g in _gram_tiles(pts, pts, lambda r0, r1: [(r0, len(pts))]):
         r1, c1 = r0 + len(g), c0 + g.shape[1]
         d2 = np.add.outer(sq[r0:r1], sq[c0:c1])
         d2 -= g

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quatsphere import calibrate_bank, cli, gen_subsphere, gen_uniform, verification
+from quatsphere import DiscreteMeasure, calibrate_bank, cli, gen_subsphere, gen_uniform, verification
 from quatsphere.cli import (
     RunConfig,
     UsageError,
@@ -318,6 +318,21 @@ class TestCommands:
         fit_rows = (tmp_path / "dim.csv").read_text().splitlines()
         assert fit_rows[0] == "r,C"
         assert len(fit_rows) > 3
+
+    @pytest.mark.parametrize("command", ["dimension", "report"])
+    def test_measure_file_of_duplicated_atoms(self, tmp_path, command):
+        # every atom twice: the median nearest-neighbour distance is 0, and the fit window
+        # starts at r_hi / 16
+        pts = gen_uniform(2, 300, seed=3).points
+        mfile = tmp_path / "twice.txt"
+        save_measure(DiscreteMeasure(np.concatenate([pts, pts]), np.full(600, 1.0 / 600)), mfile)
+        argv = ["--n", "2", "--seed", "5"] if command == "dimension" else FAST
+        rc = main([command, str(mfile), *argv, "--out", str(tmp_path / "out")])
+        assert rc == 0
+        blob = json.loads((tmp_path / "out.json").read_text())
+        est = blob if command == "dimension" else blob["dim_estimate"]
+        assert not est["degenerate"]
+        assert est["r_min"] == est["r_max"] / 16.0 > 0.0
 
     def test_report_point_mass(self, tmp_path):
         base = ["--n", "2", "--h-max", "6", "--seed", "5"]

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +25,9 @@ from quatsphere.dimension_lab import (
     _max_sq_distance,
     _nearest_sq_distances,
     _pair_counts,
+    _principal_axis,
 )
-from quatsphere.quat_core import seeded_rng, sphere_samples, unit_point
+from quatsphere.quat_core import _left_mul_matrix, seeded_rng, sphere_samples, unit_point
 
 from .oracles import left_mul
 
@@ -58,6 +60,16 @@ class TestGenerators:
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         ref = np.stack([left_mul(x0, row) for row in g])
         assert np.array_equal(gen_sp1_orbit(x0, 500, seed).points, DiscreteMeasure(ref, np.ones(500)).points)
+
+    def test_orbit_stacks_do_not_show(self):
+        # 4500 atoms make three stacks of products, the last one ragged; each atom keeps
+        # the bits of one batched product over all of them
+        x0 = unit_point(sphere_samples(3, 1, [5, 3])[0])
+        g = seeded_rng(5, _TAG_ORBIT).standard_normal((4500, 4))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        mats = _left_mul_matrix(*g.T).transpose(2, 0, 1)
+        want = DiscreteMeasure((x0.reshape(-1, 4) @ mats.transpose(0, 2, 1)).reshape(4500, -1), np.ones(4500))
+        assert gen_sp1_orbit(x0, 4500, 5).points.tobytes() == want.points.tobytes()
 
     def test_uniform_mean_near_zero(self):
         mu = gen_uniform(2, 200_000, seed=4)
@@ -134,6 +146,18 @@ class TestCorrelationDimension:
         # two rows of atom 7 stand for its 4096 draws
         want = full_matrix_pair_counts(mu0.points, w / w.sum(), np.array([7, 7]), np.array([0.5, 0.5]), edges, False)
         np.testing.assert_allclose(est.c_values, want, rtol=1e-12, atol=0.0)
+
+    def test_duplicated_atoms(self):
+        # every atom twice: the median nearest-neighbour distance is 0, and the fit window
+        # starts at r_hi / 16 as when it would start past r_hi
+        pts = gen_uniform(2, 300, seed=3).points
+        mu = DiscreteMeasure(np.concatenate([pts, pts]), np.full(600, 1.0 / 600))
+        est = correlation_dimension(mu, seed=1)
+        assert not est.degenerate
+        assert est.r_min == est.r_max / 16.0 > 0.0
+        edges = np.concatenate([[0.0], est.r_values])
+        want = full_matrix_pair_counts(mu.points, mu.weights, np.arange(600), mu.weights, edges, True)
+        assert np.array_equal(est.c_values, want)
 
     def test_weighted_estimator(self):
         mu0 = gen_subsphere(2, 1, 8_000, seed=10)
@@ -300,6 +324,106 @@ class TestPairCounts:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+    def test_memory_of_the_benchmark_fixtures(self):
+        # the criterion 7 fixtures at 10 000 atoms, seed 0: the tracemalloc peaks, in bytes,
+        # of a walk over every (reference, atom) pair, after a small warm-up call (the first
+        # call of a process allocates about 1 MiB more, once)
+        bounds = {"uniform": 2_448_352, "sp1-orbit": 2_589_454, "subsphere:1": 2_588_970}
+        x0 = unit_point(sphere_samples(2, 1, [0, 71])[0])
+        fixtures = {
+            "uniform": gen_uniform(2, 10_000, 0),
+            "sp1-orbit": gen_sp1_orbit(x0, 10_000, 0),
+            "subsphere:1": gen_subsphere(2, 1, 10_000, 0),
+        }
+        correlation_dimension(gen_uniform(2, 100, 1), seed=1)
+        peaks = {}
+        for name, mu in fixtures.items():
+            tracemalloc.start()
+            try:
+                correlation_dimension(mu, seed=0)
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert all(peaks[name] <= bound for name, bound in bounds.items()), peaks
+
+
+class TestBandWalk:
+    """The pair walk visits only atoms within reach along the references' principal axis."""
+
+    @staticmethod
+    def check(pts, w, ref_idx, ref_w, edges, uniform):
+        got = _pair_counts(pts, w, ref_idx, ref_w, edges, uniform)
+        want = full_matrix_pair_counts(pts, w, ref_idx, ref_w, edges, uniform)
+        assert want[-1] > 0
+        if uniform:
+            assert np.array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_lone_reference(self, uniform):
+        pts = gen_subsphere(2, 2, 3_000, seed=14).points
+        w = 1.0 + 0.5 * np.cos(np.arange(3_000))
+        w /= w.sum()
+        edges = np.concatenate([[0.0], np.geomspace(0.05, 0.8, 10)])
+        self.check(pts, w, np.full(50, 1234), np.full(50, 1.0 / 50), edges, uniform)
+
+    @pytest.mark.parametrize("extra", range(1, 8))
+    def test_references_past_a_whole_lane(self, extra):
+        # 16 + extra distinct references and every atom within reach: the lane-widened
+        # spans of the references and of the other atoms overlap, and must be merged
+        pts = gen_uniform(2, 700, seed=15).points
+        w = np.full(700, 1.0 / 700)
+        ref_idx = np.sort(np.random.default_rng(extra).choice(700, size=16 + extra, replace=False))
+        edges = np.array([0.0, 0.5, 1.0, 2.5])
+        self.check(pts, w, ref_idx, np.full(16 + extra, 1.0 / (16 + extra)), edges, True)
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_references_without_scatter(self, uniform):
+        # two distinct reference atoms at one point: no principal axis, and no warning
+        pts, w = TestPairCounts.duplicated_atoms()
+        ref_idx = np.array([5, 405, 405, 5, 5])
+        edges = np.concatenate([[0.0], np.geomspace(0.05, 0.6, 12)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.check(pts, w, ref_idx, np.full(5, 0.2), edges, uniform)
+        assert np.array_equal(_principal_axis(pts[[5, 405]]), np.eye(8)[0])
+
+    @pytest.mark.parametrize("thinned", [False, True])
+    def test_unequal_weights(self, thinned):
+        pts = gen_sp1_orbit(unit_point(np.arange(1.0, 9.0)), 2_500, seed=16).points
+        w = 1.0 + 0.5 * np.sin(np.arange(2_500))
+        w /= w.sum()
+        if thinned:
+            ref_idx = np.sort(np.random.default_rng(3).choice(2_500, size=600, replace=True, p=w))
+            ref_w = np.full(600, 1.0 / 600)
+        else:
+            ref_idx, ref_w = np.arange(2_500), w
+        edges = np.concatenate([[0.0], np.geomspace(0.02, 0.4, 16)])
+        self.check(pts, w, ref_idx, ref_w, edges, False)
+
+    def test_pair_on_the_last_edge_along_the_axis(self):
+        # a lone reference a (axis e_0, its fallback) and b with a - b = e_0 exactly, on the
+        # last edge: all squared norms are 0.8125, so reach exceeds |a - b| by 1e-9 relative
+        # and little more.  b sorts at column 15, first of 14 atoms at projection -0.5 and
+        # past the block's own lane, so a band that stopped short of it would not take it
+        # back when widened to whole lanes
+        def atom(x0, k, v):
+            x = np.zeros(8)
+            x[0], x[k] = x0, v
+            return x
+
+        a = atom(0.5, 1, 0.75)
+        below = [atom(-0.75, k, v) for k in range(1, 8) for v in (0.5, -0.5)]
+        edge = [atom(-0.5, k, v) for k in range(1, 8) for v in (0.75, -0.75)]
+        pts = np.array([a, *edge, *below])
+        assert np.all(np.sum(pts * pts, axis=1) == 0.8125)
+        w = np.full(len(pts), 1.0 / len(pts))
+        edges = np.array([0.0, 0.5, 1.0])
+        got = _pair_counts(pts, w, np.zeros(1, dtype=int), np.ones(1), edges, True)
+        assert np.array_equal(got, full_matrix_pair_counts(pts, w, np.zeros(1, dtype=int), np.ones(1), edges, True))
+        assert np.array_equal(got, [0, 1])  # the pair (a, b) alone, at squared distance 1
 
 
 class TestSEnergy:

@@ -218,8 +218,8 @@ class TestSampling:
         small = sphere_samples(2, 1 << 16, 9)
         assert np.array_equal(big[: 1 << 16], small)
 
-    def test_in_place_fill_matches_two_step_reference(self):
-        # three chunks, the last one ragged: each chunk is a fresh Gaussian
+    def test_samples_match_whole_substream_draws(self):
+        # three substreams of 1 << 16 rows, the last one ragged: each is one Gaussian
         # draw divided by its row norms, with the bits of np.linalg.norm's
         count = 2 * (1 << 16) + 5
         for n in (2, 3, 4, 5):
