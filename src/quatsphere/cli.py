@@ -36,6 +36,7 @@ import numpy as np
 
 from .diffops import DegenerateProbesError
 from .dimension_lab import (
+    DimensionEstimate,
     correlation_dimension,
     gen_point_mass,
     gen_sp1_orbit,
@@ -244,6 +245,10 @@ def cmd_multiplier(measure: DiscreteMeasure, cfg: RunConfig) -> int:
     return 0
 
 
+def _estimate_text(est: DimensionEstimate) -> str:
+    return "degenerate" if est.degenerate else f"{est.s_hat:.3f}"
+
+
 def cmd_dimension(measure: DiscreteMeasure, cfg: RunConfig) -> int:
     est = correlation_dimension(measure, seed=cfg.seed)
     base = _out_base(cfg, "dimension")
@@ -252,7 +257,7 @@ def cmd_dimension(measure: DiscreteMeasure, cfg: RunConfig) -> int:
         fh.write("r,C\n")
         for r, c in zip(est.r_values, est.c_values):
             fh.write(f"{r!r},{c!r}\n")
-    print(f"dimension estimate {est.s_hat:.3f} (residual {est.residual:.3f})")
+    print(f"dimension estimate {_estimate_text(est)} (residual {est.residual:.3f})")
     print(f"wrote {base.with_suffix('.json')} and {base.with_suffix('.csv')}")
     return 0
 
@@ -267,7 +272,7 @@ def cmd_report(measure: DiscreteMeasure, cfg: RunConfig) -> int:
     _write_json(base.with_suffix(".json"), report.to_json_dict())
     print(
         f"cone condition plausible: {report.cone_condition_plausible}; "
-        f"dim estimate {report.dim_estimate.s_hat:.3f} vs bound {report.bound_4n_minus_4}; "
+        f"dim estimate {_estimate_text(report.dim_estimate)} vs bound {report.bound_4n_minus_4}; "
         f"consistent: {report.consistent}"
     )
     print(f"wrote {base.with_suffix('.json')}")

@@ -32,8 +32,7 @@ _LANE = 8
 # reference atoms kept by correlation_dimension, and radii in its fit window
 _MAX_REFS = 4096
 _N_BINS = 16
-# power-iteration steps for the pair walk's axis, and hits handled per slice of a tile
-_POWER_STEPS = 16
+# hits handled per slice of a tile
 _HIT_SLICE = 8192
 
 
@@ -159,23 +158,17 @@ def _margin(sq: Array, t: float) -> float:
     return 2.0 * np.finfo(np.float64).eps * (2.0 * float(sq.max()) + t)
 
 
-def _principal_axis(x: Array) -> Array:
-    """Unit vector along which the rows of x spread most, by power iteration on their scatter.
+def _farthest_axis(x: Array) -> Array:
+    """Unit vector from the mean of the rows of x to the row farthest from it.
 
-    With c the rows about their mean, each step takes (c v) c, two matrix-vector
-    products, from the row of c farthest out; so no LAPACK routine is called, nor a
-    rank-k update, whose code would be paged in for this alone.  Rows that do not
-    spread (one distinct row) give the first coordinate axis.
+    Rows that do not spread (one distinct row) give the first coordinate axis.
     """
     c = x - x.mean(axis=0)
     spread = np.sum(c * c, axis=1)
-    v = c[np.flatnonzero(spread == spread.max())[0]]
-    for _ in range(_POWER_STEPS):
-        norm = math.sqrt(float(v @ v))
-        if not norm > 0.0:
-            return np.eye(x.shape[1])[0]
-        v = (c @ (v / norm)) @ c
-    return v / math.sqrt(float(v @ v))
+    k = int(np.argmax(spread))
+    if not spread[k] > 0.0:
+        return np.eye(x.shape[1])[0]
+    return c[k] / math.sqrt(float(spread[k]))
 
 
 def _pair_counts(
@@ -195,10 +188,12 @@ def _pair_counts(
     admits d2 <= edges[-1]**2 get an exact squared distance; they are binned with
     np.histogram's semantics (half-open bins, last edge closed, d2 < 0 in bin 0).
 
-    Such a pair lies within `reach` of each other, and so within reach along any unit
-    axis u.  The references, then the other atoms, are sorted by their projection on
-    the references' principal axis (by a key that keeps its order), and each block of
-    references walks only the atoms whose projection lies within reach of the block's.
+    The references, then the other atoms, are sorted by their projection q on a unit
+    axis u, and each block of references walks only the atoms whose projection lies
+    within `reach` of the block's.  The atoms of a pair that g >= thr keeps lie within
+    reach of each other, |q_i - q_j| <= |x_i - x_j| for any unit u, and reach covers
+    the rounding of q; so the band drops only pairs the threshold drops, and the walk
+    keeps the same pairs with the same Gram bits whatever u and the order of the atoms.
     """
     m = len(points)
     refs, inv = np.unique(ref_idx, return_inverse=True)
@@ -221,37 +216,21 @@ def _pair_counts(
     reach = (1.0 + 1e-9) * math.sqrt(t + margin + 2.0 * (sq_max - float(sq.min())) + rounding * sq_max)
     reach += rounding * math.sqrt(sq_max)
 
-    # an atom's key is its projection from 0 in whole steps of 1 / scale, truncated, which
-    # keeps the order of q; a band's ends, at most reach past q's range, stay within
-    # `steps` of 0, and `steps` below 2**52 keeps q * scale from rounding past it.  A key
-    # times m plus the atom's index stays below 2**62
-    q = points @ _principal_axis(points[refs])
-    q -= q.min()
-    steps = min(1 << 52, (1 << 62) // m) - 1
-    scale = steps / (float(q.max()) + 2.0 * reach)
-    packed = (q * scale).astype(np.int64)
-    packed *= m
-    packed += np.arange(m)
-    rest = np.ones(m, dtype=bool)
-    rest[refs] = False
-    # the distinct references, then the other atoms, each by key: a sort of the packed
-    # values orders the atoms as an argsort would, without paging in numpy's argsort
-    # code (128 to 192 KB of it, which showed in the benchmark's peak RSS)
-    key, order = np.divmod(np.concatenate([np.sort(packed[refs]), np.sort(packed[rest])]), m)
-    del inv, packed, rest
-    q, rho, sq = q[order[:n_refs]], rho[order], sq[order]
+    q = points @ _farthest_axis(points[refs])
+    rest = np.delete(np.arange(m), refs)
+    order = np.concatenate([refs[np.argsort(q[refs])], rest[np.argsort(q[rest])]])
+    del inv, rest
+    q, rho, sq = q[order], rho[order], sq[order]
     w = None if uniform else weights[order]
 
     def band(r0, r1):
-        # q * scale, truncated, is monotone in q, like each key: the references from the
-        # block's first row on have keys at or above its own; the other atoms, from n_refs
-        # on, are cut at both ends
-        rows = q[r0 : min(r1, n_refs)]
-        lo = int((float(rows.min()) - reach) * scale)
-        hi = int((float(rows.max()) + reach) * scale)
-        tail = key[n_refs:]
+        # the references from the block's first row on sort at or above its own; the
+        # other atoms, from n_refs on, are cut at both ends
+        lo = float(q[r0]) - reach
+        hi = float(q[min(r1, n_refs) - 1]) + reach
+        tail = q[n_refs:]
         return [
-            (r0, max(r1, r0 + int(np.searchsorted(key[r0:n_refs], hi, side="right")))),
+            (r0, max(r1, r0 + int(np.searchsorted(q[r0:n_refs], hi, side="right")))),
             (n_refs + int(np.searchsorted(tail, lo)), n_refs + int(np.searchsorted(tail, hi, side="right"))),
         ]
 
@@ -476,7 +455,8 @@ def theorem_consistency_report(
     nonzero") is approximated at desk scale by requiring that no in-cone
     index with h >= h_max/2 is flagged in the spectrum scan.  A report is
     inconsistent only when that plausibility check passes while the measured
-    correlation dimension falls clearly below the bound.
+    correlation dimension falls clearly below the bound; a degenerate estimate
+    measures nothing, so it cannot make a report inconsistent.
     """
     if not measure.nonnegative:
         raise ValueError("consistency reports require nonnegative measures")
@@ -485,7 +465,7 @@ def theorem_consistency_report(
     plausible = not any(h >= (h_max + 1) // 2 for h, _ in flagged)
     dim_est = correlation_dimension(measure, seed=seed)
     bound = float(4 * measure.n - 4)
-    consistent = (not plausible) or (dim_est.s_hat >= bound - DIM_TOLERANCE)
+    consistent = not plausible or dim_est.degenerate or dim_est.s_hat >= bound - DIM_TOLERANCE
     return ConsistencyReport(
         measure_name=measure.name,
         n=measure.n,

@@ -397,7 +397,11 @@ def function_measure(
     """
     ss = np.random.SeedSequence([seed, n, 73])
     pilot_pts = sphere_samples(n, pilot, [seed, n, 74])
-    bound = 1.05 * float(np.max(np.abs(f(pilot_pts))))
+    pilot_vals = f(pilot_pts)
+    if np.shape(pilot_vals) != (pilot,):
+        raise ValueError(f"f must map ({pilot}, {4 * n}) points to shape ({pilot},), got shape {np.shape(pilot_vals)}")
+    bound = 1.05 * float(np.max(np.abs(pilot_vals)))
+    del pilot_vals  # not held through the draws
     if not 0.0 < bound < math.inf:
         raise ValueError(f"f must be finite and not zero on the pilot points, got a bound of {bound}")
 

@@ -342,6 +342,23 @@ class TestCommands:
         assert blob["cone_condition_plausible"] is False
         assert blob["consistent"] is True
 
+    @pytest.mark.parametrize("command", ["dimension", "report"])
+    def test_degenerate_estimate(self, tmp_path, capsys, command):
+        # 50 uniform atoms leave too few nonzero bins to fit: no estimate is printed, and
+        # the report stays consistent
+        argv = ["--n", "2"] if command == "dimension" else ["--n", "2", "--h-max", "8"]
+        rc = main([command, "uniform", *argv, "--atoms", "50", "--out", str(tmp_path / "out")])
+        assert rc == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        blob = json.loads((tmp_path / "out.json").read_text())
+        if command == "dimension":
+            assert blob["degenerate"]
+            assert line == "dimension estimate degenerate (residual 0.000)"
+        else:
+            assert blob["dim_estimate"]["degenerate"] and blob["cone_condition_plausible"]
+            assert blob["consistent"] is True
+            assert line == "cone condition plausible: True; dim estimate degenerate vs bound 4.0; consistent: True"
+
     def test_multiplier_outputs(self, tmp_path):
         rc = main(["multiplier", "point", *FAST, "--out", str(tmp_path / "mult")])
         assert rc == 0

@@ -21,11 +21,11 @@ from quatsphere import (
 from quatsphere import dimension_lab
 from quatsphere.dimension_lab import (
     _TAG_ORBIT,
+    _farthest_axis,
     _gram_tiles,
     _max_sq_distance,
     _nearest_sq_distances,
     _pair_counts,
-    _principal_axis,
 )
 from quatsphere.quat_core import _left_mul_matrix, seeded_rng, sphere_samples, unit_point
 
@@ -349,7 +349,7 @@ class TestPairCounts:
 
 
 class TestBandWalk:
-    """The pair walk visits only atoms within reach along the references' principal axis."""
+    """The pair walk visits only atoms within reach along an axis through the references."""
 
     @staticmethod
     def check(pts, w, ref_idx, ref_w, edges, uniform):
@@ -381,14 +381,14 @@ class TestBandWalk:
 
     @pytest.mark.parametrize("uniform", [True, False])
     def test_references_without_scatter(self, uniform):
-        # two distinct reference atoms at one point: no principal axis, and no warning
+        # two distinct reference atoms at one point: no axis to take, and no warning
         pts, w = TestPairCounts.duplicated_atoms()
         ref_idx = np.array([5, 405, 405, 5, 5])
         edges = np.concatenate([[0.0], np.geomspace(0.05, 0.6, 12)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             self.check(pts, w, ref_idx, np.full(5, 0.2), edges, uniform)
-        assert np.array_equal(_principal_axis(pts[[5, 405]]), np.eye(8)[0])
+        assert np.array_equal(_farthest_axis(pts[[5, 405]]), np.eye(8)[0])
 
     @pytest.mark.parametrize("thinned", [False, True])
     def test_unequal_weights(self, thinned):
@@ -402,6 +402,39 @@ class TestBandWalk:
             ref_idx, ref_w = np.arange(2_500), w
         edges = np.concatenate([[0.0], np.geomspace(0.02, 0.4, 16)])
         self.check(pts, w, ref_idx, ref_w, edges, False)
+
+    def test_pruning_of_the_benchmark_fixtures(self, monkeypatch):
+        # the criterion 7 fixtures at 10 000 atoms, seed 1: the Gram values the walk computes,
+        # bounded by 1.02 times those of a band along the principal axis of the references'
+        # scatter (a walk of every (reference, atom) pair computes 28.2M)
+        bounds = {"uniform": 19_510_752, "sp1-orbit": 14_799_760, "subsphere:1": 14_776_288}
+        walked, walking = dict.fromkeys(bounds, 0), []
+        gram_tiles, pair_counts = dimension_lab._gram_tiles, dimension_lab._pair_counts
+
+        def counted_tiles(*args, **kw):
+            for tile in gram_tiles(*args, **kw):
+                if walking:
+                    walked[walking[0]] += tile[2].size
+                yield tile
+
+        def counted_walk(*args, **kw):
+            walking.append(name)
+            try:
+                return pair_counts(*args, **kw)
+            finally:
+                walking.clear()
+
+        monkeypatch.setattr(dimension_lab, "_gram_tiles", counted_tiles)
+        monkeypatch.setattr(dimension_lab, "_pair_counts", counted_walk)
+        x0 = unit_point(sphere_samples(2, 1, [1, 71])[0])
+        fixtures = {
+            "uniform": gen_uniform(2, 10_000, 1),
+            "sp1-orbit": gen_sp1_orbit(x0, 10_000, 1),
+            "subsphere:1": gen_subsphere(2, 1, 10_000, 1),
+        }
+        for name, mu in fixtures.items():
+            correlation_dimension(mu, seed=1)
+        assert all(0 < walked[name] <= 1.02 * bound for name, bound in bounds.items()), walked
 
     def test_pair_on_the_last_edge_along_the_axis(self):
         # a lone reference a (axis e_0, its fallback) and b with a - b = e_0 exactly, on the
@@ -475,6 +508,12 @@ class TestConsistencyReport:
         mu = gen_uniform(2, 100, seed=43).scaled(-1.0)
         with pytest.raises(ValueError):
             theorem_consistency_report(mu, bank8, 0.1, 4, seed=5)
+
+    def test_degenerate_estimate_is_not_a_counterexample(self, bank8):
+        # 50 uniform atoms leave too few nonzero bins to fit: the estimate measures nothing
+        rep = theorem_consistency_report(gen_uniform(2, 50, seed=0), bank8, 0.1, 8, seed=0)
+        assert rep.cone_condition_plausible and rep.dim_estimate.degenerate
+        assert rep.consistent
 
     def test_json_fields(self, bank8, x0):
         rep = theorem_consistency_report(gen_point_mass(x0), bank8, 0.1, 4, seed=5)

@@ -378,6 +378,19 @@ class TestFunctionMeasure:
         with pytest.raises(ValueError, match="finite"):
             function_measure(f, 2, 100, seed=1)
 
+    def test_rejects_values_of_the_wrong_shape(self, monkeypatch):
+        # a column of values would broadcast against the chunk's draws into a
+        # (32768, 32768) mask; no chunk may be drawn
+        row_norms = quat_core._row_norms
+
+        def pilot_only(g, panel):
+            assert len(g) < 1 << 15, "a chunk was drawn"
+            return row_norms(g, panel)
+
+        monkeypatch.setattr(quat_core, "_row_norms", pilot_only)
+        with pytest.raises(ValueError, match=r"shape \(8192, 1\)"):
+            function_measure(lambda pts: (1.0 + pts[:, 0])[:, None], 2, 100, seed=1)
+
 
 class TestConeGap:
     def test_exact_endpoints(self):
