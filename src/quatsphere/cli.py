@@ -144,11 +144,13 @@ def load_measure(path: str | Path) -> DiscreteMeasure:
     if not rows:
         raise UsageError(f"{path}: no atoms found")
     pts = np.asarray(rows)
+    # the measure checks the atoms before any warning is printed
+    measure = DiscreteMeasure(pts, np.asarray(weights), name=Path(path).stem)
     norms = np.linalg.norm(pts, axis=1)
     worst = float(np.max(np.abs(norms - 1.0)))
     if worst > 1e-6:
         print(f"warning: renormalized atoms deviating from the sphere by up to {worst:.2e}", file=sys.stderr)
-    return DiscreteMeasure(pts, np.asarray(weights), name=Path(path).stem)
+    return measure
 
 
 def resolve_measure(name: str, cfg: RunConfig) -> DiscreteMeasure:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
+import threading
 from typing import Sequence
 
 import numpy as np
@@ -51,9 +52,12 @@ def unit_point(v: Array) -> Array:
     flat = np.asarray(v, dtype=np.float64).reshape(-1)
     if flat.size % 4 or flat.size < 8:
         raise ValueError("sphere points live in R^{4n} with n >= 2")
-    nrm = float(np.linalg.norm(flat))
+    with np.errstate(over="ignore"):
+        nrm = float(np.linalg.norm(flat))
     if nrm == 0.0:
         raise ValueError("cannot normalize the zero vector")
+    if not math.isfinite(nrm):
+        raise ValueError(f"cannot normalize a vector whose norm is {nrm}")
     return flat / nrm
 
 
@@ -145,6 +149,50 @@ def _row_norms(g: Array, panel: Array) -> Array:
     return np.maximum(nrm, 1e-300, out=nrm)
 
 
+class _DrawAhead:
+    """A daemon thread that fills arrays from rng.standard_normal, one request at a time.
+
+    numpy releases the GIL while it fills, so the draw runs beside the
+    caller's work.  The caller makes the generators and the views to fill,
+    so the thread makes no np-module call and allocates no array.
+    """
+
+    def __init__(self):
+        self._job = self._error = None
+        self._go, self._done = threading.Semaphore(0), threading.Semaphore(0)
+        self._thread = threading.Thread(target=self._run, name="sphere-sample-draws", daemon=True)
+        self._thread.start()
+
+    def _run(self):
+        while True:
+            self._go.acquire()
+            if self._job is None:
+                return
+            rng, out = self._job
+            try:
+                rng.standard_normal(out=out)
+            except BaseException as exc:
+                # raised again on the caller's thread, by wait()
+                self._error = exc
+            self._done.release()
+
+    def draw(self, rng: np.random.Generator, out: Array) -> None:
+        """Begin filling out; the caller leaves it alone until wait() returns."""
+        self._job = rng, out
+        self._go.release()
+
+    def wait(self) -> None:
+        """Block until the draw is done, raising any exception it raised."""
+        self._done.acquire()
+        if self._error is not None:
+            raise self._error
+
+    def stop(self) -> None:
+        self._job = None
+        self._go.release()
+        self._thread.join()
+
+
 def sphere_sample_chunks(n: int, count: int, seed: int | Sequence[int]):
     """Iterator over count seeded uniform points on S^{4n-1}, one piece of rows at a time.
 
@@ -163,6 +211,13 @@ def sphere_sample_chunks(n: int, count: int, seed: int | Sequence[int]):
     differently by operand layout (a (20x8)(8x341) product of normals
     differed in 39 of its 6820 entries between the panel and the transposed
     rows; the 4096-row pieces agreed).
+
+    When there is more than one piece, a worker thread (_DrawAhead) draws
+    the next piece's normals into the one row-major draw buffer while the
+    caller uses the current piece.  Each draw starts only after the current
+    panel is built from that buffer, so one draw at most is in flight.  The
+    thread starts on the first next() and is stopped when the iterator is
+    exhausted, closed or collected; a draw's exception is raised by next().
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -177,24 +232,45 @@ def sphere_sample_chunks(n: int, count: int, seed: int | Sequence[int]):
     children = np.random.SeedSequence(keys).spawn((count + _SAMPLE_SUBSTREAM - 1) // _SAMPLE_SUBSTREAM)
     dim = 4 * n
     panels = np.empty(dim * min(count, _SAMPLE_PIECE))
+    drawn = np.empty((min(count, _SAMPLE_PIECE), dim))
 
-    def pieces():
+    def draws():
+        """(generator, rows) of each piece, the generators made on the caller's thread."""
         for ci, child in enumerate(children):
             rng = np.random.default_rng(child)
             end = min((ci + 1) * _SAMPLE_SUBSTREAM, count)
             for lo in range(ci * _SAMPLE_SUBSTREAM, end, _SAMPLE_PIECE):
-                rows = min(_SAMPLE_PIECE, end - lo)
+                yield rng, min(_SAMPLE_PIECE, end - lo)
+
+    def pieces():
+        jobs = draws()
+        rng, rows = next(jobs)
+        # standard_normal fills in order, so the pieces of a substream are
+        # the rows of one draw of the whole substream
+        rng.standard_normal(out=drawn[:rows])
+        ahead = None
+        try:
+            while True:
+                g = drawn[:rows]
                 panel = panels[: dim * rows].reshape(dim, rows)
-                # standard_normal fills in order, so the pieces of a substream
-                # are the rows of one draw of the whole substream
-                g = rng.standard_normal((rows, dim))
                 nrm = _row_norms(g, panel)
                 # the norms are the panel's first row, so it is divided last
                 np.divide(g.T[1:], nrm, out=panel[1:])
                 np.divide(g.T[0], nrm, out=nrm)
-                # the draw is freed before the piece is used
-                del g
+                job = next(jobs, None)
+                if job is None:
+                    yield panel.T
+                    return
+                rng, rows = job
+                if ahead is None:
+                    ahead = _DrawAhead()
+                # the panel is built, so the buffer can take the next piece's normals
+                ahead.draw(rng, drawn[:rows])
                 yield panel.T
+                ahead.wait()
+        finally:
+            if ahead is not None:
+                ahead.stop()
 
     return pieces()
 

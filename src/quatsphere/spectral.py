@@ -55,9 +55,13 @@ class DiscreteMeasure:
             raise ValueError("atoms must live in R^{4n} with n >= 2")
         if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(w))):
             raise ValueError("atoms and weights must be finite")
-        norms = np.linalg.norm(pts, axis=1, keepdims=True)
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(pts, axis=1, keepdims=True)
         if np.any(norms == 0.0):
             raise ValueError("atoms must be nonzero vectors")
+        if not np.all(np.isfinite(norms)):
+            # finite coordinates whose sum of squares overflows: dividing by inf would give the origin
+            raise ValueError(f"the norm of atom {np.flatnonzero(~np.isfinite(norms))[0]} overflows to inf")
         self.points = pts / norms
         self.weights = w
         self.name = name

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -406,6 +407,18 @@ class TestCommands:
         rc = main(["dimension", "subsphere:7", "--n", "2", "--atoms", "500",
                    "--out", str(tmp_path / "d")])
         assert rc == 2
+
+    @pytest.mark.parametrize("command", ["spectrum", "dimension"])
+    def test_overflowing_atom_norm_is_an_error(self, tmp_path, capsys, command):
+        # each value is finite, but the atom's norm overflows: it must not be renormalized to the origin
+        mfile = tmp_path / "m.txt"
+        mfile.write_text("# n=2\n1,0,0,0,0,0,0,0,1\n1e308,1e308,0,0,0,0,0,0,1\n")
+        with warnings.catch_warnings():
+            # numpy's overflow warning would be a second line on stderr
+            warnings.simplefilter("error")
+            rc = main([command, str(mfile), "--n", "2", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: the norm of atom 1 overflows to inf\n"
 
     def test_missing_measure_is_usage_error(self, tmp_path):
         rc = main(["spectrum", str(tmp_path / "absent.txt"), *FAST])

@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +198,11 @@ def test_unit_point():
         unit_point(np.ones(10))
     with pytest.raises(ValueError, match="zero vector"):
         unit_point(np.zeros(8))
+    # [1e308, 1e308, 0, ...] is finite, but its norm overflows: the point would be the origin
+    with pytest.raises(ValueError, match="norm is inf"):
+        unit_point(np.array([1e308, 1e308, 0, 0, 0, 0, 0, 0]))
+    big = np.full(8, 1e153)
+    assert np.array_equal(unit_point(big), big / float(np.linalg.norm(big)))
 
 
 def test_sphere_point_is_only_an_alias_in_quat_core():
@@ -307,6 +317,119 @@ class TestSampling:
         chunks = sphere_sample_chunks(2, 2 * (1 << 16) + 5, 9)
         first = next(chunks)
         assert all(np.shares_memory(first, chunk) for chunk in chunks)
+
+    # a sample set of more than one piece is drawn one piece ahead, on a worker thread
+    MANY = 3 * 4096
+
+    @staticmethod
+    def workers():
+        return [t for t in threading.enumerate() if t.name == "sphere-sample-draws"]
+
+    def test_worker_stops_with_the_iterator(self):
+        start = threading.active_count()
+        for piece in sphere_sample_chunks(2, self.MANY, 1):
+            assert threading.active_count() == start + 1
+        assert threading.active_count() == start
+        closed = sphere_sample_chunks(2, self.MANY, 1)
+        next(closed)
+        closed.close()
+        assert threading.active_count() == start
+        dropped = sphere_sample_chunks(2, self.MANY, 1)
+        next(dropped)
+        next(dropped)
+        assert threading.active_count() == start + 1
+        del dropped
+        assert threading.active_count() == start
+
+    def test_draw_error_reaches_the_caller(self, monkeypatch):
+        # the second piece is drawn on the worker; its exception comes out of the caller's next()
+        real = np.random.default_rng
+
+        class Failing:
+            def __init__(self, seed):
+                self.rng, self.draws = real(seed), 0
+
+            def standard_normal(self, **kw):
+                self.draws += 1
+                if self.draws == 2:
+                    raise RuntimeError("draw failed")
+                return self.rng.standard_normal(**kw)
+
+        monkeypatch.setattr(np.random, "default_rng", Failing)
+        start = threading.active_count()
+        pieces = sphere_sample_chunks(2, self.MANY, 1)
+        next(pieces)
+        raised = []
+
+        def second_piece():
+            try:
+                next(pieces)
+            except RuntimeError as exc:
+                raised.append(exc)
+
+        # consumed on a thread of its own, so that a lost exception fails the test instead of hanging it
+        consumer = threading.Thread(target=second_piece, daemon=True)
+        consumer.start()
+        consumer.join(timeout=60)
+        assert not consumer.is_alive()
+        assert [str(exc) for exc in raised] == ["draw failed"]
+        assert threading.active_count() == start
+        assert next(pieces, None) is None
+
+    @pytest.mark.parametrize("count", [1, 4096])
+    def test_one_piece_starts_no_thread(self, count):
+        start = threading.active_count()
+        pieces = sphere_sample_chunks(2, count, 1)
+        next(pieces)
+        assert threading.active_count() == start
+        assert next(pieces, None) is None
+
+    def test_worker_is_a_daemon(self):
+        # a leaked iterator cannot hold up interpreter exit
+        pieces = sphere_sample_chunks(2, self.MANY, 1)
+        next(pieces)
+        [worker] = self.workers()
+        assert worker.daemon
+        pieces.close()
+        assert not worker.is_alive() and self.workers() == []
+        # nor can one left in a module global, with a draw in flight, at the end of a process
+        leak = "from quatsphere.quat_core import sphere_sample_chunks as s; p = s(2, 3 * 4096, 1); next(p); next(p)"
+        src = str(Path(quatsphere.__file__).parent.parent)
+        proc = subprocess.run([sys.executable, "-c", leak], env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert proc.returncode == 0
+
+    def test_concurrent_iterators_keep_the_bits(self):
+        # four iterators drained at once on two cores, with thread switches a hundred times as often
+        want = row_major_samples(2, 3 * (1 << 16), 5).tobytes()
+        got = [None] * 4
+
+        def drain(i):
+            got[i] = np.concatenate([piece.copy() for piece in sphere_sample_chunks(2, 3 * (1 << 16), 5)]).tobytes()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(interval / 100)
+        try:
+            consumers = [threading.Thread(target=drain, args=(i,), daemon=True) for i in range(4)]
+            for consumer in consumers:
+                consumer.start()
+            for consumer in consumers:
+                consumer.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(consumer.is_alive() for consumer in consumers)
+        assert got == [want] * 4
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_slow_consumer_keeps_the_bits(self, n):
+        # the worker draws while each piece is in use: across substreams, to a ragged last piece
+        count = 2 * (1 << 16) + 4097
+        ends = sphere_samples(n, 20, 8)
+        rows = []
+        for piece in sphere_sample_chunks(n, count, [6, n]):
+            ends @ piece.T
+            time.sleep(1e-4)
+            rows.append(piece.copy())
+        assert np.concatenate(rows).tobytes() == row_major_samples(n, count, [6, n]).tobytes()
 
     def test_chunk_iterator_checks_arguments_on_the_call(self):
         for args in [(1, 5, 0), (2, 0, 0), (2, 5, [-1])]:

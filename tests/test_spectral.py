@@ -42,6 +42,15 @@ class TestDiscreteMeasure:
         with pytest.raises(ValueError):
             DiscreteMeasure(np.full((1, 8), np.nan), np.ones(1))
 
+    def test_overflowing_norm_is_refused(self):
+        # finite coordinates whose squares overflow: dividing by an inf norm would put the atom at the origin
+        pts = np.eye(8)[:3].copy()
+        pts[2, :2] = 1e308
+        with pytest.raises(ValueError, match="norm of atom 2 overflows"):
+            DiscreteMeasure(pts, np.ones(3))
+        big = np.eye(8)[:2] * 1e150
+        assert DiscreteMeasure(big, np.ones(2)).points.tobytes() == (big / np.linalg.norm(big, axis=1)[:, None]).tobytes()
+
     def test_effective_atoms(self):
         mu = gen_uniform(2, 100, seed=2)
         assert abs(mu.effective_atoms() - 100.0) <= 1e-9

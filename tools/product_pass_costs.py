@@ -4,7 +4,12 @@ For verification.check_idempotency at n = 2 and n = 3 with 2e5 samples (the
 CLI default) and a bank of h <= 6, prints the best-of-N seconds of each
 layer of its one product pass:
 
-- draw: making the sample pieces (sphere_sample_chunks);
+- draw: the time the pass waits for its next sample piece
+  (sphere_sample_chunks), not the time spent drawing it.  The sampler
+  draws each piece after the first on a worker thread while the pass uses
+  the piece before, so this is the part of that draw still running when
+  the pass asks for the piece, plus normalizing its rows and the whole of
+  the first piece;
 - invariants: pair_invariants_matrix, one call (four GEMMs) per piece;
 - walks: the Chebyshev and Jacobi ladder walks (zonal_kernel._kernel_row);
 - merge: the moment merge (verification._merge_moments);
